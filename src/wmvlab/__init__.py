@@ -11,10 +11,8 @@ from .arcs import (ArcLabel, RationalApprox, classify, convergents,
 from .bounds import (BoundComparison, BoundProfile, HCount, bound_values,
                      exponent_curves, k_bound_check, k_counts, kappa,
                      phi_quantity, theta_quantity)
-from .counting import (KeySpectrum, beta_fourth_moment, brute_force_moment,
-                       cubic_spectrum, load_spectrum, moment_count,
-                       power_sum_spectrum, reciprocal_sum_bound,
-                       save_spectrum, u_identity_rhs, vinogradov_count,
+from .counting import (beta_fourth_moment, brute_force_moment, moment_count,
+                       reciprocal_sum_bound, u_identity_rhs, vinogradov_count,
                        vinogradov_j)
 from .fitting import FitResult, fit_powerlaw, fit_segre
 from .phase import FixedPhase, eval_f, eval_g, phase_frac, unit
@@ -22,7 +20,7 @@ from .runcache import (CacheCorruption, ResultCache, RunRecord, append_records,
                        cache_lookup)
 from .runner import run_plan
 from .torusgrid import (GridSpec, MomentEstimate, amplitude_row, arc_mask,
-                        even_moment_exact, load_row, moment_estimate,
-                        restricted_moment, restricted_profile, save_row)
+                        even_moment_exact, moment_estimate, restricted_moment,
+                        restricted_profile)
 
 __version__ = "0.1.0"

@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Subcommands: count, grid, restricted, arcs, bounds, identity, fit, run.
-Common options: --out (CSV target), --cache-dir, --threads, --seed.
+Common options: --out (CSV target), --cache-dir; `bounds compare` and
+`identity` also take --seed for their sampled angles.
 Exit status: 0 all good, 2 a check failed, 1 execution error.
 """
 
@@ -44,8 +45,6 @@ def parse_alpha(text: str) -> FixedPhase:
 def _common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--out", help="append results to this CSV file")
     sub.add_argument("--cache-dir", help="result cache directory")
-    sub.add_argument("--threads", type=int, default=1)
-    sub.add_argument("--seed", type=int, default=0)
 
 
 def _session(args) -> _Session:
@@ -190,8 +189,7 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    status, records = run_plan(args.config, out=args.out,
-                               cache_dir=args.cache_dir, threads=args.threads)
+    status, records = run_plan(args.config, out=args.out, cache_dir=args.cache_dir)
     print(f"{len(records)} records, exit status {status}")
     return status
 
@@ -243,6 +241,7 @@ def build_parser() -> _Parser:
     pb.add_argument("--eps", type=float, default=0.05)
     pb.add_argument("--alpha", help="single angle; omit to sample --trials")
     pb.add_argument("--trials", type=int, default=20)
+    pb.add_argument("--seed", type=int, default=0)
     _common(pb)
     pb.set_defaults(fn=_cmd_bounds)
     pb2 = b_subs.add_parser("curves")
@@ -254,6 +253,7 @@ def build_parser() -> _Parser:
     p = subs.add_parser("identity", help="two-sided fourth-moment identity checks")
     p.add_argument("--X", type=int, default=40)
     p.add_argument("--trials", type=int, default=50)
+    p.add_argument("--seed", type=int, default=0)
     _common(p)
     p.set_defaults(fn=_cmd_identity)
 

@@ -2,27 +2,22 @@
 
 Even moments of g(alpha, beta; X) over the torus are integers: by
 orthogonality the s-th moment counts s-tuples whose linear sums and cube
-sums balance.  This module builds the key spectra (how many t-tuples hit
-each (sum, cube-sum) key), squares them into moment counts, handles the
-three-equation system with keys (sum, square-sum, cube-sum), counts that
-system at up to six variables per side slab by slab over the linear sum, and
-evaluates the two-sided fourth-moment identity together with its
-reciprocal-distance majorant.
+sums balance.  One slab-streamed counter gives these counts and those of
+the three-equation system keyed by (sum, square-sum, cube-sum), at up to six
+variables per side.  The module also evaluates the two-sided fourth-moment
+identity together with its reciprocal-distance majorant.
 
-Spectra are built by enumerate / sort / run-length-encode, chunked on the
-leading coordinate, with a deterministic size-balanced pairwise merge, so
-output bits never depend on the worker count.
+Tuples with different linear sums n never balance, so the counter streams
+over n: it enumerates the sorted h-multisets of a batch of consecutive
+slabs, weights each by its h!/prod(mult!) orderings, and sums
+weight_a * weight_b over shared keys.  Memory is O(largest batch), not
+O(unique keys).
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import os
-import struct
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
-from typing import Iterator, List, Sequence, Tuple
 
 import numpy as np
 
@@ -30,242 +25,119 @@ from .phase import FixedPhase, SCALE, kahan_add, unit
 
 _MASK = SCALE - 1
 
-ENUM_GUARD = 10 ** 10  # hard cap on X^t enumeration work
-MULTISET_GUARD = 10 ** 8  # cap on sorted h-multisets in vinogradov_j (~8 s)
-SPECTRUM_MAGIC = b"WMVSPEC1"
+MULTISET_GUARD = 10 ** 8  # cap on sorted h-multisets per count (~10 s)
+_BATCH = 1 << 16  # about this many multisets per numpy call
+_INT64_MAX = int(np.iinfo(np.int64).max)
 
 
-@dataclass(frozen=True)
-class KeySpectrum:
-    """Sorted key -> count table for t-tuples over [1, X].
+# -- slab-streamed counting ---------------------------------------------------
 
-    `components` are the key coordinates as parallel int64 columns in
-    strictly increasing lexicographic order; `counts` are positive int64.
-    Two-column keys are (linear sum, cube sum); three-column keys are
-    (linear sum, square sum, cube sum).
+def _multisets(X: int, h: int, n_lo: int, n_hi: int, square: bool):
+    """The sorted h-multisets x1 <= ... <= xh over [1, X] whose linear sum
+    lies in [n_lo, n_hi], a range that must meet [h, hX].  Returns their
+    linear, square (None unless `square`) and cube sums, and their weights
+    h!/prod(mult!), the number of ordered h-tuples each one stands for."""
+    # one coordinate placed per pass; every partial kept extends to at least
+    # one full multiset, so nothing is enumerated twice or in vain
+    v = np.arange(max(1, n_lo - (h - 1) * X), min(X, n_hi // h) + 1, dtype=np.int64)
+    lin = last = v
+    sq = v * v if square else None
+    cube = v * v * v
+    run = denom = np.ones_like(v)  # multiplicity of `last`; prod(mult!) so far
+    for k in range(1, h):
+        left = h - k - 1  # coordinates still to place after this one
+        lo = np.maximum(last, n_lo - left * X - lin)
+        hi = np.minimum(X, (n_hi - lin) // (left + 1))
+        span = hi - lo + 1
+        parent = np.repeat(np.arange(len(lo)), span)
+        # v runs lo..hi under each parent
+        v = np.arange(len(parent), dtype=np.int64) - np.repeat(np.cumsum(span) - span - lo, span)
+        run = np.where(v == last[parent], run[parent] + 1, 1)
+        denom = denom[parent] * run
+        lin = lin[parent] + v
+        if square:
+            sq = sq[parent] + v * v
+        cube = cube[parent] + v * v * v
+        last = v
+    return lin, sq, cube, math.factorial(h) // denom
+
+
+def _shared_key_count(X: int, a: int, b: int, square: bool) -> int:
+    """Sum over keys (linear sum, square-sum if `square`, cube-sum) of
+    W_a(key) * W_b(key), where W_h(key) counts the ordered h-tuples over
+    [1, X] with that key: the number of solutions with a variables on the
+    left and b on the right.
+
+    Batches of consecutive slabs hold about 2^16 multisets, fewer where the
+    packed int64 sort key (slab offset, square-sum, cube-sum, weight) would
+    overflow.  Refuses more than MULTISET_GUARD multisets, or one slab's
+    keys past the int64 width, saying why.
     """
-
-    X: int
-    arity: int
-    components: Tuple[np.ndarray, ...]
-    counts: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.counts)
-
-    def mass(self) -> int:
-        """Total tuple count; equals X^arity exactly."""
-        return int(self.counts.sum())
-
-    def sum_of_squares(self) -> int:
-        c = self.counts
-        return int(np.dot(c, c))
-
-    def entries(self) -> Iterator[Tuple[Tuple[int, ...], int]]:
-        cols = self.components
-        for i in range(len(self.counts)):
-            yield tuple(int(col[i]) for col in cols), int(self.counts[i])
-
-
-# -- sort / RLE / merge plumbing --------------------------------------------
-
-def _rle_sorted(cols: Sequence[np.ndarray],
-                weights: np.ndarray | None = None) -> Tuple[Tuple[np.ndarray, ...], np.ndarray]:
-    """Collapse lex-sorted key columns into unique keys plus counts."""
-    n = len(cols[0])
-    if n == 0:
-        return tuple(c[:0] for c in cols), np.zeros(0, dtype=np.int64)
-    change = cols[0][1:] != cols[0][:-1]
-    for c in cols[1:]:
-        change |= c[1:] != c[:-1]
-    starts = np.concatenate(([0], np.flatnonzero(change) + 1))
-    uniq = tuple(c[starts] for c in cols)
-    if weights is None:
-        bounds = np.concatenate((starts, [n]))
-        counts = np.diff(bounds)
-    else:
-        counts = np.add.reduceat(weights, starts)
-    return uniq, counts.astype(np.int64, copy=False)
-
-
-def _lex_order(cols: Sequence[np.ndarray]) -> np.ndarray:
-    if len(cols) == 1:
-        return np.argsort(cols[0], kind="stable")
-    # np.lexsort treats its last key as primary
-    return np.lexsort(tuple(reversed(cols)))
-
-
-def _sorted_rle(cols: Sequence[np.ndarray]) -> Tuple[Tuple[np.ndarray, ...], np.ndarray]:
-    order = _lex_order(cols)
-    return _rle_sorted(tuple(c[order] for c in cols))
-
-
-def _merge_rle(a: Tuple[Tuple[np.ndarray, ...], np.ndarray],
-               b: Tuple[Tuple[np.ndarray, ...], np.ndarray]) -> Tuple[Tuple[np.ndarray, ...], np.ndarray]:
-    cols = tuple(np.concatenate((ca, cb)) for ca, cb in zip(a[0], b[0]))
-    weights = np.concatenate((a[1], b[1]))
-    order = _lex_order(cols)
-    return _rle_sorted(tuple(c[order] for c in cols), weights[order])
-
-
-def _push_balanced(stack, item) -> None:
-    """Binary-counter merge: each stack slot holds a merge of 2^j chunks, so
-    every raw entry passes through O(log #chunks) merges regardless of how
-    the run-length encoding compresses."""
-    stack.append([item, 1])
-    while len(stack) >= 2 and stack[-2][1] == stack[-1][1]:
-        top = stack.pop()
-        stack[-1][0] = _merge_rle(stack[-1][0], top[0])
-        stack[-1][1] += top[1]
-
-
-def _drain(stack) -> Tuple[Tuple[np.ndarray, ...], np.ndarray]:
-    while len(stack) > 1:
-        top = stack.pop()
-        stack[-1][0] = _merge_rle(stack[-1][0], top[0])
-        stack[-1][1] += top[1]
-    return stack[0][0]
-
-
-def _build_chunked(X: int, arity: int, chunk_cols, workers: int):
-    """Run chunk builders (one per leading coordinate), merge deterministically.
-
-    `chunk_cols(x1)` returns the key columns of all tuples whose leading
-    coordinate is x1.  Results are merged in x1 order, so worker count
-    cannot change a single output bit.
-    """
-    xs = range(1, X + 1)
-
-    def job(x1: int):
-        return _sorted_rle(chunk_cols(x1))
-
-    stack: List[list] = []
-    if workers and workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            for rle in ex.map(job, xs):
-                _push_balanced(stack, rle)
-    else:
-        for x1 in xs:
-            _push_balanced(stack, job(x1))
-    return _drain(stack)
-
-
-# -- spectra -----------------------------------------------------------------
-
-def _guard(X: int, t: int) -> None:
     if X < 1:
         raise ValueError("X must be positive")
-    if X ** t > ENUM_GUARD:
-        raise ValueError(f"enumeration of {X}^{t} tuples exceeds the 10^10 guard")
+    h = max(a, b)
+    multisets = math.comb(X + h - 1, h)
+    if multisets > MULTISET_GUARD:
+        raise ValueError(f"{multisets:,} sorted {h}-multisets over [1, {X}] "
+                         f"exceed the 10^8 guard")
+    wbits = math.factorial(h).bit_length()
+    sq_span, cube_span = h * X * X + 1, h * X ** 3 + 1
+    slab_span = ((sq_span if square else 1) * cube_span) << wbits
+    if slab_span > _INT64_MAX:
+        raise ValueError(f"keys of {h}-multisets over [1, {X}] exceed the packed int64 width")
+    width = max(1, _BATCH * (h * (X - 1) + 1) // multisets)
+    if h > 1:
+        width = min(width, _INT64_MAX // slab_span)
 
+    def per_key(arity: int, n_lo: int, n_hi: int):
+        # unique packed keys of slabs n_lo..n_hi, and ordered tuples per key
+        lin, sq, cube, weight = _multisets(X, arity, n_lo, n_hi, square)
+        key = lin - n_lo
+        if square:
+            key = key * sq_span + sq
+        packed = ((key * cube_span + cube) << wbits) | weight
+        packed.sort()
+        key = packed >> wbits
+        starts = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
+        return key[starts], np.add.reduceat(packed & ((1 << wbits) - 1), starts)
 
-def cubic_spectrum(X: int, t: int, workers: int = 1) -> KeySpectrum:
-    """Exact counts of ordered t-tuples over [1,X] by (sum, cube-sum) key."""
-    if t not in (1, 2, 3):
-        raise ValueError("arity must be 1, 2, or 3")
-    _guard(X, t)
-    r = np.arange(1, X + 1, dtype=np.int64)
-    r3 = r * r * r
-    if t == 1:
-        # already strictly increasing in both coordinates
-        cols = (r.copy(), r3.copy())
-        counts = np.ones(X, dtype=np.int64)
-        return KeySpectrum(X, 1, cols, counts)
-    if t == 2:
-        def pair_cols(x1: int):
-            return (r + x1, r3 + x1 ** 3)
-        cols, counts = _build_chunked(X, 2, pair_cols, workers)
-        return KeySpectrum(X, 2, cols, counts)
-    base_n = np.add.outer(r, r).ravel()
-    base_m = np.add.outer(r3, r3).ravel()
-    nbits = int(3 * X).bit_length()
-    mbits = int(3 * X ** 3).bit_length()
-    if nbits + mbits <= 63:
-        # flat integer sort on (sum << mbits) | cube-sum; lex order preserved
-        base_key = (base_n << mbits) | base_m
+    lo, hi = h, min(a, b) * X
+    ranges = [(lo, hi, 1)]
+    if a == b and square:
+        # x -> X+1-x maps slab n onto slab lo+hi-n, and its keys one to one:
+        # the new cube-sum depends on n and the square-sum only.  Without
+        # the square-sum in the key that fails, so (sum, cube) counts run in full.
+        top = lo + hi
+        ranges = [(lo, (top - 1) // 2, 2)] + ([(top // 2, top // 2, 1)] if top % 2 == 0 else [])
+    total = 0
+    for r_lo, r_hi, factor in ranges:
+        for n_lo in range(r_lo, r_hi + 1, width):
+            n_hi = min(n_lo + width - 1, r_hi)
+            if h == 1:
+                # one value per slab: keys already strictly increasing, no sort
+                weight = _multisets(X, 1, n_lo, n_hi, False)[3]
+                total += factor * int(np.dot(weight, weight))
+            elif a == b:
+                _, weight = per_key(a, n_lo, n_hi)
+                total += factor * int(np.dot(weight, weight))
+            else:
+                ka, wa = per_key(a, n_lo, n_hi)
+                kb, wb = per_key(b, n_lo, n_hi)
+                _, ia, ib = np.intersect1d(ka, kb, assume_unique=True, return_indices=True)
+                total += factor * int(np.dot(wa[ia], wb[ib]))
+    return total
 
-        def triple_cols(x1: int):
-            return (base_key + ((np.int64(x1) << mbits) | np.int64(x1 ** 3)),)
-
-        (packed,), counts = _build_chunked(X, 3, triple_cols, workers)
-        cols = (packed >> mbits, packed & ((np.int64(1) << mbits) - 1))
-    else:
-        def triple_cols(x1: int):
-            return (base_n + x1, base_m + x1 ** 3)
-
-        cols, counts = _build_chunked(X, 3, triple_cols, workers)
-    return KeySpectrum(X, 3, cols, counts)
-
-
-def power_sum_spectrum(X: int, t: int, workers: int = 1) -> KeySpectrum:
-    """Ordered t-tuple counts keyed by (sum, square-sum, cube-sum), t <= 3."""
-    if t not in (1, 2, 3):
-        raise ValueError("arity must be 1, 2, or 3")
-    _guard(X, t)
-    r = np.arange(1, X + 1, dtype=np.int64)
-    r2 = r * r
-    r3 = r2 * r
-    # widths for the packed fast path: sums bounded by 3X, 3X^2, 3X^3
-    b1 = int(3 * X).bit_length()
-    b2 = int(3 * X ** 2).bit_length()
-    b3 = int(3 * X ** 3).bit_length()
-    packable = b1 + b2 + b3 <= 63
-    if t == 1:
-        return KeySpectrum(X, 1, (r.copy(), r2.copy(), r3.copy()),
-                           np.ones(X, dtype=np.int64))
-    if t == 2:
-        if packable:
-            base_key = (((r << b2) | r2) << b3) | r3
-
-            def pair_cols(x1: int):
-                add = (((np.int64(x1) << b2) | np.int64(x1 ** 2)) << b3) | np.int64(x1 ** 3)
-                return (base_key + add,)
-
-            (packed,), counts = _build_chunked(X, 2, pair_cols, workers)
-            cols = _unpack3(packed, b2, b3)
-        else:
-            def pair_cols(x1: int):
-                return (r + x1, r2 + x1 ** 2, r3 + x1 ** 3)
-
-            cols, counts = _build_chunked(X, 2, pair_cols, workers)
-        return KeySpectrum(X, 2, cols, counts)
-    base_n = np.add.outer(r, r).ravel()
-    base_q = np.add.outer(r2, r2).ravel()
-    base_m = np.add.outer(r3, r3).ravel()
-    if packable:
-        base_key = (((base_n << b2) | base_q) << b3) | base_m
-
-        def triple_cols(x1: int):
-            add = (((np.int64(x1) << b2) | np.int64(x1 ** 2)) << b3) | np.int64(x1 ** 3)
-            return (base_key + add,)
-
-        (packed,), counts = _build_chunked(X, 3, triple_cols, workers)
-        cols = _unpack3(packed, b2, b3)
-    else:
-        def triple_cols(x1: int):
-            return (base_n + x1, base_q + x1 ** 2, base_m + x1 ** 3)
-
-        cols, counts = _build_chunked(X, 3, triple_cols, workers)
-    return KeySpectrum(X, 3, cols, counts)
-
-
-def _unpack3(packed: np.ndarray, b2: int, b3: int) -> Tuple[np.ndarray, ...]:
-    m3 = (np.int64(1) << b3) - 1
-    m2 = (np.int64(1) << b2) - 1
-    return (packed >> (b2 + b3), (packed >> b3) & m2, packed & m3)
-
-
-# -- exact counts ------------------------------------------------------------
 
 def moment_count(X: int, s: int, workers: int = 1) -> int:
     """Exact s-th even moment of |g| over the torus: number of s-tuples with
     balanced linear and cube sums.  s in {2, 4, 6}."""
+    # `workers` is unused; perfbench/selftest.py still passes it positionally
     if s not in (2, 4, 6):
         raise ValueError("s must be 2, 4, or 6 (torusgrid covers other moments)")
-    return cubic_spectrum(X, s // 2, workers=workers).sum_of_squares()
+    return _shared_key_count(X, s // 2, s // 2, square=False)
 
 
-def vinogradov_count(X: int, s: int, workers: int = 1) -> int:
+def vinogradov_count(X: int, s: int) -> int:
     """Exact count of s-variable solutions of the three-equation system
     sum x^j = sum y^j (j = 1, 2, 3), with ceil(s/2) variables on the left
     and floor(s/2) on the right.  s in {2,..,6}.
@@ -274,99 +146,23 @@ def vinogradov_count(X: int, s: int, workers: int = 1) -> int:
     J_{3,3}(X) = 6X^3 - 9X^2 + 4X, the permutation pairs.  For h variables
     per side up to six, the critical case J_{6,3}, use `vinogradov_j`.
 
-    For odd s the two sides have different arities; the join below returns
-    the true count (zero: power sums up to degree 3 pin down multisets of
-    size <= 3, and padding the short side with 0 leaves [1,X])."""
+    For odd s the two sides have different arities; both are enumerated and
+    their keys compared, which returns the true count (zero: power sums up
+    to degree 3 pin down multisets of size <= 3, and padding the short side
+    with 0 leaves [1,X])."""
     if s not in (2, 3, 4, 5, 6):
         raise ValueError("s must be in {2, 3, 4, 5, 6}")
-    a, b = (s + 1) // 2, s // 2
-    left = power_sum_spectrum(X, a, workers=workers)
-    if a == b:
-        return left.sum_of_squares()
-    right = power_sum_spectrum(X, b, workers=workers)
-    return _join_product(left, right)
-
-
-def _join_product(sa: KeySpectrum, sb: KeySpectrum) -> int:
-    ka = _pack_for_disk(sa)
-    kb = _pack_for_disk(sb)
-    # keys fit in u64 pairs; compare via sorted membership on both halves
-    total = 0
-    _, ia, ib = np.intersect1d(ka, kb, assume_unique=True, return_indices=True)
-    if len(ia):
-        total = int(np.dot(sa.counts[ia], sb.counts[ib]))
-    return total
+    return _shared_key_count(X, (s + 1) // 2, s // 2, square=True)
 
 
 def vinogradov_j(X: int, h: int) -> int:
     """J_{h,3}(X): the number of 2h-tuples over [1,X], h variables per side,
     with sum x^j = sum y^j for j = 1, 2, 3.  h in {1,..,6}; h = 6 is the
     critical case s = k(k+1)/2 of Vinogradov's mean value theorem for cubes.
-
-    Tuples with different linear sums n never balance, so the count streams
-    over n.  Inside a slab it enumerates the sorted h-multisets summing to n,
-    each weighted by its h!/prod(mult!) orderings, and adds (sum of
-    weights)^2 per (square-sum, cube-sum) key.  The reflection x -> X+1-x
-    maps slab n onto slab h(X+1) - n and preserves the system, so only the
-    lower half of the slabs is enumerated.
     """
     if h not in range(1, 7):
         raise ValueError("h must be in {1, ..., 6}")
-    if X < 1:
-        raise ValueError("X must be positive")
-    multisets = math.comb(X + h - 1, h)
-    if multisets > MULTISET_GUARD:
-        raise ValueError(f"J_{{{h},3}}({X}) needs {multisets:.2e} sorted "
-                         f"{h}-multisets, over the 10^8 guard")
-    # sort key: (square-sum, cube-sum) packed above the ordering weight
-    cube_span = h * X ** 3 + 1
-    wbits = math.factorial(h).bit_length()
-    if ((h * X * X + 1) * cube_span) << wbits > np.iinfo(np.int64).max:
-        raise ValueError(f"J_{{{h},3}}({X}) keys exceed the packed int64 width")
-    top = h * (X + 1)
-    total = 0
-    for n in range(h, (top + 1) // 2):
-        total += 2 * _slab_square_sum(X, h, n, cube_span, wbits)
-    if top % 2 == 0:
-        total += _slab_square_sum(X, h, top // 2, cube_span, wbits)
-    return total
-
-
-def _slab_square_sum(X: int, h: int, n: int, cube_span: int, wbits: int) -> int:
-    """Sum over (square-sum, cube-sum) keys of (ordered h-tuples with linear
-    sum n and that key)^2, from the sorted h-multisets summing to n."""
-    # partial multisets, one coordinate placed per pass; every partial kept
-    # extends to at least one full multiset, so nothing is enumerated twice
-    lin = np.zeros(1, dtype=np.int64)
-    sq = lin.copy()
-    cube = lin.copy()
-    last = np.ones(1, dtype=np.int64)
-    run = np.zeros(1, dtype=np.int64)      # multiplicity of `last` so far
-    denom = np.ones(1, dtype=np.int64)     # prod(mult!) so far
-    for k in range(h):
-        left = h - k - 1                   # coordinates still to place after this one
-        rem = n - lin
-        if left == 0:
-            v = rem
-        else:
-            lo = np.maximum(last, rem - left * X)
-            hi = np.minimum(X, rem // (left + 1))
-            span = hi - lo + 1
-            parent = np.repeat(np.arange(len(lo)), span)
-            # v runs lo..hi under each parent
-            offset = np.repeat(np.cumsum(span) - span - lo, span)
-            v = np.arange(len(parent), dtype=np.int64) - offset
-            lin, sq, cube, last, run, denom = (a[parent] for a in (lin, sq, cube, last, run, denom))
-        run = np.where(v == last, run + 1, 1)
-        denom *= run
-        lin += v
-        sq += v * v
-        cube += v * v * v
-        last = v
-    packed = ((sq * cube_span + cube) << wbits) | (math.factorial(h) // denom)
-    packed.sort()
-    _, per_key = _rle_sorted((packed >> wbits,), packed & ((1 << wbits) - 1))
-    return int(np.dot(per_key, per_key))
+    return _shared_key_count(X, h, h, square=True)
 
 
 def brute_force_moment(X: int, s: int) -> int:
@@ -480,68 +276,3 @@ def reciprocal_sum_bound(alpha: FixedPhase, X: int) -> float:
             cur = (cur + step) & _MASK
         total, comp = kahan_add(total, comp, 2.0 * row + diag)
     return total
-
-
-# -- disk spill --------------------------------------------------------------
-
-def _pack_for_disk(spec: KeySpectrum) -> np.ndarray:
-    """128-bit disk keys as object ints (lex order = numeric order)."""
-    cols = spec.components
-    if len(cols) == 2:
-        n, m = cols
-        if len(n) and (int(n.max()).bit_length() > 64 or int(m.max()).bit_length() > 64):
-            raise ValueError("key component exceeds 64 bits")
-        return (n.astype(object) << 64) | m.astype(object)
-    n1, n2, n3 = cols
-    if len(n1):
-        if int(n1.max()).bit_length() > 24 or int(n2.max()).bit_length() > 40 \
-                or int(n3.max()).bit_length() > 64:
-            raise ValueError("key component exceeds its packed width")
-    return (n1.astype(object) << 104) | (n2.astype(object) << 64) | n3.astype(object)
-
-
-def save_spectrum(spec: KeySpectrum, path: str) -> None:
-    """Spill a spectrum: 32-byte header (magic, X, arity, entry count), then
-    sorted little-endian records of 16-byte key and 8-byte count."""
-    keys = _pack_for_disk(spec)
-    lo = np.array([int(k) & 0xFFFFFFFFFFFFFFFF for k in keys], dtype=np.uint64)
-    hi = np.array([int(k) >> 64 for k in keys], dtype=np.uint64)
-    rec = np.empty(len(spec), dtype=np.dtype([("lo", "<u8"), ("hi", "<u8"), ("count", "<u8")]))
-    rec["lo"] = lo
-    rec["hi"] = hi
-    rec["count"] = spec.counts.astype(np.uint64)
-    tmp = path + ".tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(SPECTRUM_MAGIC)
-        fh.write(struct.pack("<QQQ", spec.X, spec.arity, len(spec)))
-        fh.write(rec.tobytes())
-    os.replace(tmp, path)
-
-
-def load_spectrum(path: str, key_components: int = 2) -> KeySpectrum:
-    """Read a spilled spectrum.  The header does not record the key layout,
-    so the caller says whether keys are (sum, cube-sum) pairs (2, default)
-    or (sum, square-sum, cube-sum) triples (3)."""
-    if key_components not in (2, 3):
-        raise ValueError("key_components must be 2 or 3")
-    with open(path, "rb") as fh:
-        magic = fh.read(8)
-        if magic != SPECTRUM_MAGIC:
-            raise ValueError("not a spectrum file (bad magic)")
-        X, arity, n_entries = struct.unpack("<QQQ", fh.read(24))
-        rec = np.frombuffer(fh.read(24 * n_entries),
-                            dtype=np.dtype([("lo", "<u8"), ("hi", "<u8"), ("count", "<u8")]))
-    if len(rec) != n_entries:
-        raise ValueError("truncated spectrum file")
-    if len(rec) and int(rec["lo"].max()) > np.iinfo(np.int64).max:
-        raise ValueError("stored key component exceeds the in-memory int64 range")
-    lo = rec["lo"].astype(np.int64)
-    hi = rec["hi"]
-    if key_components == 2:
-        cols = (hi.astype(np.int64), lo)
-    else:
-        n1 = (hi >> 40).astype(np.int64)
-        n2 = (hi & np.uint64((1 << 40) - 1)).astype(np.int64)
-        cols = (n1, n2, lo)
-    counts = rec["count"].astype(np.int64)
-    return KeySpectrum(int(X), int(arity), cols, counts)

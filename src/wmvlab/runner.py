@@ -220,14 +220,13 @@ _HANDLERS: Dict[str, Callable[[_Session, Dict[str, str]], List[RunRecord]]] = {
 
 
 def run_plan(config_path: str, out: Optional[str] = None,
-             cache_dir: Optional[str] = None,
-             threads: int = 1) -> Tuple[int, List[RunRecord]]:
+             cache_dir: Optional[str] = None) -> Tuple[int, List[RunRecord]]:
     """Execute every plan item in file order; returns (exit_status, records).
 
     Status 0: everything ran and all checks passed.  Status 2: at least one
     identity check failed.  Malformed plans raise PlanError (the CLI turns
     any exception into status 1).  Records are appended to the CSV at `out`
-    through a single writer, in plan order regardless of thread count.
+    through a single writer, in plan order.
     """
     plan = load_plan(config_path)
     for kind, _ in plan:
@@ -235,15 +234,8 @@ def run_plan(config_path: str, out: Optional[str] = None,
             raise PlanError(f"unknown experiment name: {kind}")
     session = _Session(ResultCache(cache_dir) if cache_dir else None)
     records: List[RunRecord] = []
-    if threads and threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            futures = [ex.submit(_HANDLERS[kind], session, opt) for kind, opt in plan]
-            for fut in futures:
-                records.extend(fut.result())
-    else:
-        for kind, opt in plan:
-            records.extend(_HANDLERS[kind](session, opt))
+    for kind, opt in plan:
+        records.extend(_HANDLERS[kind](session, opt))
     if out:
         append_records(out, records)
     return (2 if session.failures else 0), records

@@ -16,7 +16,6 @@ reported error is the last doubling delta, a heuristic and labeled as such.
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple, Union
@@ -295,25 +294,3 @@ def restricted_profile(X: int, s: int, Qs: Sequence[RealLike],
         out.append(MomentEstimate(v, e, False, spec, converged=converged,
                                   boundary_bound=bb))
     return out
-
-
-ROW_MAGIC = b"WMVROW1"
-
-
-def save_row(row: np.ndarray, path: str) -> None:
-    """Debug dump of one amplitude row: magic, u64 length, binary64 LE."""
-    with open(path, "wb") as fh:
-        fh.write(ROW_MAGIC)
-        fh.write(struct.pack("<Q", len(row)))
-        fh.write(np.asarray(row, dtype="<f8").tobytes())
-
-
-def load_row(path: str) -> np.ndarray:
-    with open(path, "rb") as fh:
-        if fh.read(7) != ROW_MAGIC:
-            raise ValueError("not a row dump (bad magic)")
-        (n,) = struct.unpack("<Q", fh.read(8))
-        row = np.frombuffer(fh.read(8 * n), dtype="<f8")
-    if len(row) != n:
-        raise ValueError("truncated row dump")
-    return row.copy()

@@ -176,6 +176,7 @@ def test_usage_errors_exit_1(capsys):
     assert run_cli("no-such-command") == 1
     assert run_cli("count") == 1  # --X is required
     assert run_cli("grid", "--X", "not-a-number") == 1
+    assert run_cli("count", "--X", "5", "--seed", "1") == 1  # only sampling commands take --seed
     capsys.readouterr()
 
 

@@ -1,23 +1,18 @@
-"""Exact counting engine: spectra, moments, the two-sided fourth-moment
-identity, and the disk spill format."""
+"""Exact counting engine: the slab-streamed multiset counter, moments, the
+Vinogradov system, and the two-sided fourth-moment identity."""
 
 import itertools
 import random
 from collections import Counter
 
-import numpy as np
 import pytest
 
 from wmvlab.counting import (
-    KeySpectrum,
+    _multisets,
     beta_fourth_moment,
     brute_force_moment,
-    cubic_spectrum,
-    load_spectrum,
     moment_count,
-    power_sum_spectrum,
     reciprocal_sum_bound,
-    save_spectrum,
     u_identity_rhs,
     vinogradov_count,
     vinogradov_j,
@@ -25,36 +20,54 @@ from wmvlab.counting import (
 from wmvlab.phase import FixedPhase
 
 
-def spectrum_as_dict(spec):
-    return {key: cnt for key, cnt in spec.entries()}
+def _ordered_spectrum(X, h):
+    """Counter oracle: ordered h-tuples over [1, X] per (sum, square-sum,
+    cube-sum) key, by literal enumeration."""
+    per_key = Counter()
+    for tup in itertools.product(range(1, X + 1), repeat=h):
+        per_key[(sum(tup), sum(x * x for x in tup), sum(x ** 3 for x in tup))] += 1
+    return per_key
+
+
+def _shared(left, right):
+    return sum(c * right[key] for key, c in left.items())
+
+
+def _sum_cube(spectrum):
+    out = Counter()
+    for (n, _, m), c in spectrum.items():
+        out[(n, m)] += c
+    return out
 
 
 def test_cubic_spectrum_small_cases():
-    assert spectrum_as_dict(cubic_spectrum(1, 3)) == {(3, 3): 1}
-    assert spectrum_as_dict(cubic_spectrum(2, 3)) == {
-        (3, 3): 1, (4, 10): 3, (5, 17): 3, (6, 24): 1}
-    assert spectrum_as_dict(cubic_spectrum(2, 1)) == {(1, 1): 1, (2, 8): 1}
+    # the (sum, cube-sum) key spectrum, read off the weighted multisets
+    def spectrum(X, h):
+        lin, _, cube, weight = _multisets(X, h, h, h * X, False)
+        out = Counter()
+        for n, m, w in zip(lin.tolist(), cube.tolist(), weight.tolist()):
+            out[(n, m)] += w
+        return dict(out)
 
-
-def test_spectrum_keys_lex_increasing():
-    for X, t in ((9, 2), (6, 3), (30, 2)):
-        spec = cubic_spectrum(X, t)
-        keys = list(spectrum_as_dict(spec))
-        assert keys == sorted(keys)
-        assert int(spec.counts.min()) >= 1
+    assert spectrum(1, 3) == {(3, 3): 1}
+    assert spectrum(2, 3) == {(3, 3): 1, (4, 10): 3, (5, 17): 3, (6, 24): 1}
+    assert spectrum(2, 1) == {(1, 1): 1, (2, 8): 1}
 
 
 def test_spectrum_mass_conservation():
-    for X, t in ((1, 1), (7, 1), (13, 2), (9, 3), (50, 2)):
-        assert cubic_spectrum(X, t).mass() == X ** t
-    for X, t in ((13, 2), (7, 3)):
-        assert power_sum_spectrum(X, t).mass() == X ** t
+    # the multiset weights count every ordered h-tuple once, over all slabs
+    # together and slab by slab
+    for X, h in ((1, 1), (7, 1), (13, 2), (9, 3), (50, 2), (8, 4), (6, 5), (5, 6)):
+        assert int(_multisets(X, h, h, h * X, True)[3].sum()) == X ** h, (X, h)
+        assert sum(int(_multisets(X, h, n, n, False)[3].sum())
+                   for n in range(h, h * X + 1)) == X ** h, (X, h)
 
 
 def test_moment_count_examples():
     assert moment_count(5, 2) == 5
     assert moment_count(2, 6) == 20
     assert moment_count(2, 4) == 6
+    assert moment_count(5, 2, 1) == 5  # the unused third argument is still accepted
 
 
 def test_moment_count_rejects_odd_or_large_s():
@@ -69,6 +82,10 @@ def test_moment_matches_brute_force():
     for X in range(1, 9):
         for s in (2, 4, 6):
             assert moment_count(X, s) == brute_force_moment(X, s)
+    # past brute-force reach, a Counter over ordered triples
+    for X in range(13, 31):
+        triples = _sum_cube(_ordered_spectrum(X, 3))
+        assert moment_count(X, 6) == _shared(triples, triples), X
 
 
 def test_brute_force_examples_and_guards():
@@ -85,12 +102,19 @@ def test_brute_force_examples_and_guards():
 
 def test_closed_forms():
     rng = random.Random(3)
-    for X in [1, 2, 17, 60] + [rng.randrange(1, 201) for _ in range(6)]:
+    # X = 1000 splits its 1999 slabs into batches of 261: the last is short
+    for X in [1, 2, 17, 60, 1000] + [rng.randrange(1, 201) for _ in range(6)]:
         assert moment_count(X, 4) == 2 * X * X - X
-    for X in (1, 2, 97, 1000, 4096):
+    # X = 70000 is two batches of single values
+    for X in (1, 2, 97, 1000, 4096, 70_000):
         assert moment_count(X, 2) == X
     for X in (2, 5, 20, 60):
         assert moment_count(X, 6) >= 6 * X ** 3 - 12 * X ** 2
+    # J_{1,3} = X and J_{2,3} = 2X^2 - X, through the reflected half of the
+    # slabs; at X = 2000 the int64 key width, not the count, sets the batch
+    for X in (1, 2, 97, 1000, 2000):
+        assert vinogradov_j(X, 1) == X
+        assert vinogradov_j(X, 2) == 2 * X * X - X
 
 
 def test_vinogradov_examples():
@@ -108,7 +132,7 @@ def test_vinogradov_closed_form_s6():
 
 def test_vinogradov_odd_s_vanishes():
     # unequal side arities cannot share (sum, sum sq, sum cube) over
-    # positive integers; the join must come back empty
+    # positive integers; the shared-key sum must come back empty
     for X in (2, 3, 7, 12):
         assert vinogradov_count(X, 3) == 0
         assert vinogradov_count(X, 5) == 0
@@ -121,17 +145,17 @@ def test_vinogradov_rejects_out_of_range_s():
         vinogradov_count(4, 7)
 
 
-def _j_by_brute_force(X, h):
-    per_key = Counter()
-    for tup in itertools.product(range(1, X + 1), repeat=h):
-        per_key[(sum(tup), sum(x * x for x in tup), sum(x ** 3 for x in tup))] += 1
-    return sum(c * c for c in per_key.values())
-
-
 def test_vinogradov_j_matches_brute_force():
     for X in range(1, 5):
         for h in range(1, 7):
-            assert vinogradov_j(X, h) == _j_by_brute_force(X, h), (X, h)
+            spectrum = _ordered_spectrum(X, h)
+            assert vinogradov_j(X, h) == _shared(spectrum, spectrum), (X, h)
+    # vinogradov_count, odd s included, against the same Counter oracle
+    for X in range(13, 31):
+        spectra = {h: _ordered_spectrum(X, h) for h in (1, 2, 3)}
+        for s in range(2, 7):
+            want = _shared(spectra[(s + 1) // 2], spectra[s // 2])
+            assert vinogradov_count(X, s) == want, (X, s)
 
 
 def test_vinogradov_j_matches_vinogradov_count():
@@ -161,23 +185,14 @@ def test_vinogradov_j_guards():
 
 
 def test_enumeration_guard():
+    with pytest.raises(ValueError, match=r"166,716,670,000 sorted 3-multisets .* 10\^8 guard"):
+        moment_count(10 ** 4, 6)
+    with pytest.raises(ValueError, match="exceed the packed int64 width"):
+        moment_count(2 * 10 ** 6, 2)  # 2 * X^3 is past 2^63
+    with pytest.raises(ValueError, match="exceed the packed int64 width"):
+        vinogradov_count(10 ** 4, 2)  # (X^2 + 1)(X^3 + 1) << 1 is past 2^63
     with pytest.raises(ValueError):
-        cubic_spectrum(10 ** 4, 3)
-
-
-def test_worker_determinism():
-    for X, t in ((30, 2), (12, 3)):
-        a = cubic_spectrum(X, t, workers=1)
-        b = cubic_spectrum(X, t, workers=3)
-        assert all(np.array_equal(x, y)
-                   for x, y in zip(a.components, b.components))
-        assert np.array_equal(a.counts, b.counts)
-    p1 = power_sum_spectrum(14, 3, workers=1)
-    p4 = power_sum_spectrum(14, 3, workers=4)
-    assert all(np.array_equal(x, y)
-               for x, y in zip(p1.components, p4.components))
-    assert np.array_equal(p1.counts, p4.counts)
-    assert moment_count(11, 6, workers=2) == moment_count(11, 6)
+        moment_count(0, 2)
 
 
 def test_beta_fourth_moment_examples():
@@ -238,49 +253,3 @@ def test_fourth_moment_majorized_by_reciprocal_sum():
         for _ in range(10):
             a = FixedPhase(rng.getrandbits(128))
             assert beta_fourth_moment(a, X) <= 64 * reciprocal_sum_bound(a, X)
-
-
-def test_spectrum_disk_roundtrip_two_col(tmp_path):
-    spec = cubic_spectrum(9, 2)
-    path = str(tmp_path / "pairs.spec")
-    save_spectrum(spec, path)
-    back = load_spectrum(path, key_components=2)
-    assert back.X == spec.X and back.arity == spec.arity
-    assert all(np.array_equal(x, y)
-               for x, y in zip(back.components, spec.components))
-    assert np.array_equal(back.counts, spec.counts)
-
-
-def test_spectrum_disk_roundtrip_three_col(tmp_path):
-    spec = power_sum_spectrum(7, 3)
-    path = str(tmp_path / "triples.spec")
-    save_spectrum(spec, path)
-    back = load_spectrum(path, key_components=3)
-    assert spectrum_as_dict(back) == spectrum_as_dict(spec)
-
-
-def test_spectrum_disk_header_layout(tmp_path):
-    import struct
-    spec = cubic_spectrum(3, 2)
-    path = str(tmp_path / "h.spec")
-    save_spectrum(spec, path)
-    raw = open(path, "rb").read()
-    assert raw[:8] == b"WMVSPEC1"
-    X, arity, count = struct.unpack("<QQQ", raw[8:32])
-    assert (X, arity, count) == (3, 2, len(spec))
-    assert len(raw) == 32 + 24 * len(spec)  # 16-byte key + 8-byte count
-
-
-def test_spectrum_disk_rejects_corruption(tmp_path):
-    spec = cubic_spectrum(4, 2)
-    path = str(tmp_path / "c.spec")
-    save_spectrum(spec, path)
-    raw = bytearray(open(path, "rb").read())
-    raw[:8] = b"NOTMAGIC"
-    open(path, "wb").write(bytes(raw))
-    with pytest.raises(ValueError):
-        load_spectrum(path)
-    save_spectrum(spec, path)
-    open(path, "wb").write(open(path, "rb").read()[:-10])  # truncate
-    with pytest.raises(ValueError):
-        load_spectrum(path)

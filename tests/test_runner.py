@@ -268,17 +268,6 @@ def test_identity_failure_flips_exit_status(tmp_path, monkeypatch):
     assert len(records) == 2
 
 
-def test_threaded_run_matches_serial_order_and_values(tmp_path):
-    text = ("[count-sweep]\nx = 2..6\ns = 2\n\n"
-            "[vinogradov-sweep]\nx = 2..4\ns = 4\n\n"
-            "[grid-sweep]\nx = 3\ns = 2\n")
-    path = _plan(tmp_path, text)
-    _, serial = run_plan(path, threads=1)
-    _, threaded = run_plan(path, threads=3)
-    key = lambda recs: [(r.op, tuple(sorted(r.params.items())), r.value) for r in recs]
-    assert key(threaded) == key(serial)
-
-
 def test_restricted_sweep_reuses_cached_cutoffs(tmp_path):
     cache_dir = str(tmp_path / "cache")
     path1 = _plan(tmp_path, "[restricted-sweep]\nx = 8\ns = 4\nq = 2,4\n", "a.ini")

@@ -18,11 +18,9 @@ from wmvlab.torusgrid import (
     auto_spec_even,
     auto_spec_start,
     even_moment_exact,
-    load_row,
     moment_estimate,
     restricted_moment,
     restricted_profile,
-    save_row,
 )
 
 
@@ -242,20 +240,3 @@ def test_auto_spec_choices():
     assert even.Malpha & (even.Malpha - 1) == 0
     start = auto_spec_start(4, 9)
     assert start.Malpha >= 2 * 64 + 1 and start.Mbeta >= 2 * 4 + 1
-
-
-def test_row_dump_roundtrip(tmp_path):
-    spec = GridSpec(32, 8, 2)
-    row = amplitude_row(2, spec, 3)
-    path = str(tmp_path / "row.bin")
-    save_row(row, path)
-    back = load_row(path)
-    assert np.array_equal(back, row)
-    raw = open(path, "rb").read()
-    assert raw[:7] == b"WMVROW1"
-    open(path, "wb").write(b"XXXXXXX" + raw[7:])
-    with pytest.raises(ValueError):
-        load_row(path)
-    open(path, "wb").write(raw[:-4])
-    with pytest.raises(ValueError):
-        load_row(path)
