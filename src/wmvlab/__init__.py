@@ -16,8 +16,8 @@ from .counting import (beta_fourth_moment, brute_force_moment, moment_count,
                        vinogradov_j)
 from .fitting import FitResult, fit_powerlaw, fit_segre
 from .phase import FixedPhase, eval_f, eval_g, phase_frac, unit
-from .runcache import (CacheCorruption, ResultCache, RunRecord, append_records,
-                       cache_lookup)
+from .runcache import (CacheCorruption, CacheVersionMismatch, ResultCache,
+                       RunRecord, append_records, cache_lookup)
 from .runner import run_plan
 from .torusgrid import (GridSpec, MomentEstimate, amplitude_row, arc_mask,
                         even_moment_exact, moment_estimate, restricted_moment,

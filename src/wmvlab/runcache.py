@@ -3,8 +3,10 @@
 Cache layout: one JSON file per record under the cache directory, named by
 the sha256 of the canonical (op, params) serialization; each file embeds a
 checksum of its own payload so corruption is detected, never silently
-swallowed.  A manifest records the digest algorithm.  Writes go through a
-temp file and an atomic rename.
+swallowed.  A manifest records the digest algorithm and the engine version
+whose results the directory holds; a directory from another engine version
+is refused, because its floats may differ in the last bits from what this
+engine computes.  Writes go through a temp file and an atomic rename.
 """
 
 from __future__ import annotations
@@ -20,11 +22,20 @@ from typing import Dict, List, Optional, Sequence
 CSV_HEADER = ["run_id", "op", "X", "s", "Q", "k", "alpha",
               "value", "err_est", "exact", "wall_seconds"]
 
-_MANIFEST = {"digest_algorithm": "sha256", "layout": "one-record-per-file", "version": 1}
+# Bump whenever any engine's results can change, even in the last bit.
+# 2: torus-grid rows folded by symmetry (float summation order changed).
+ENGINE_VERSION = 2
+
+_MANIFEST = {"digest_algorithm": "sha256", "engine_version": ENGINE_VERSION,
+             "layout": "one-record-per-file", "version": 1}
 
 
 class CacheCorruption(RuntimeError):
     """A cache file failed its checksum; reported, never ignored."""
+
+
+class CacheVersionMismatch(RuntimeError):
+    """A cache directory from another engine version; refused, never replayed."""
 
 
 @dataclass(frozen=True)
@@ -65,6 +76,13 @@ class ResultCache:
         manifest = os.path.join(root, "manifest.json")
         if not os.path.exists(manifest):
             _atomic_write(manifest, json.dumps(_MANIFEST, indent=2) + "\n")
+            return
+        with open(manifest) as fh:
+            found = json.load(fh).get("engine_version", "missing")
+        if found != ENGINE_VERSION:
+            raise CacheVersionMismatch(
+                f"cache directory {root} holds results of engine version {found}, "
+                f"not the current {ENGINE_VERSION}; use a fresh --cache-dir")
 
     def _path(self, op: str, params: Dict[str, object]) -> str:
         return os.path.join(self.root, cache_key(op, params) + ".json")

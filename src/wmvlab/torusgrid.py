@@ -5,6 +5,15 @@ indexed by x^3 mod Malpha, and a single inverse FFT of length Malpha yields
 |g| at every alpha grid point of that row.  Memory stays O(Malpha); the full
 2-D grid is never materialized.
 
+Most rows repeat others: conjugation gives |g(-alpha, -beta)| = |g|, and
+x^3 = x (mod 2) gives g(alpha + 1/2, beta + 1/2) = g, so the sum of |g|^s
+over a row is the same on each orbit {j, -j, j + Mbeta/2, Mbeta/2 - j} (the
+half shift needs Malpha and Mbeta even), and rows 0..Mbeta/4 with weights
+2, 4, ..., 4, 2 stand for a power-of-two grid.  Arc masks are their own
+mirror images (the arc at a/q mirrors the one at (q-a)/q) but not half-shift
+invariant, so restricted sums fold by conjugation alone, on Mbeta/2 + 1 rows.
+Weights multiply exactly, so folding moves a mean only by FFT roundoff.
+
 For even s the integrand |g|^s is a trigonometric polynomial with alpha
 frequencies bounded by (s/2)X^3 and beta frequencies by (s/2)X, so the plain
 grid mean is the exact integral once the grid exceeds those band limits.
@@ -146,18 +155,31 @@ def _amp_power(row: np.ndarray, s: int) -> np.ndarray:
     return acc * row if s % 2 else acc
 
 
-def _grid_mean(X: int, s: int, spec: GridSpec,
-               keep: Optional[np.ndarray] = None) -> float:
-    """Mean of |g|^s over the grid, optionally restricted to alpha indices
-    `keep`; rows are reduced pairwise in beta order, so the result is
-    run-to-run identical for a given spec."""
-    row_sums: List[float] = []
-    for j in range(spec.Mbeta):
-        row = amplitude_row(X, spec, j)
-        if keep is not None:
-            row = row[keep]
-        row_sums.append(float(_amp_power(row, s).sum()))
-    return _pairwise_total(row_sums) / (spec.Malpha * spec.Mbeta)
+def _row_orbits(spec: GridSpec, half: bool) -> List[Tuple[int, int]]:
+    """(least row, size) of each beta-row orbit under j -> -j and, if `half`
+    and both sizes are even, j -> j + Mbeta/2."""
+    M = spec.Mbeta
+    shifts = (0, M // 2) if half and spec.Malpha % 2 == 0 and M % 2 == 0 else (0,)
+    out = []
+    for j in range(M):
+        orbit = {(sign * j + d) % M for sign in (1, -1) for d in shifts}
+        if j == min(orbit):
+            out.append((j, len(orbit)))
+    return out
+
+
+def _grid_means(X: int, s: int, spec: GridSpec,
+                keeps: Sequence[Optional[np.ndarray]]) -> List[float]:
+    """Mean of |g|^s over the grid for each of `keeps`: the alpha indices of
+    a mirror-symmetric mask, or None for all.  One row per orbit times its
+    size, with the half shift only if all are None; rows reduce pairwise in
+    beta order, so results are run-to-run identical for a given spec."""
+    totals: List[List[float]] = [[] for _ in keeps]
+    for j, weight in _row_orbits(spec, all(k is None for k in keeps)):
+        vals = _amp_power(amplitude_row(X, spec, j), s)
+        for t, keep in zip(totals, keeps):
+            t.append(weight * float((vals if keep is None else vals[keep]).sum()))
+    return [_pairwise_total(t) / (spec.Malpha * spec.Mbeta) for t in totals]
 
 
 def even_moment_exact(X: int, s: int) -> MomentEstimate:
@@ -168,29 +190,30 @@ def even_moment_exact(X: int, s: int) -> MomentEstimate:
     spec = auto_spec_even(X, s)
     if spec.Malpha > MALPHA_GUARD:
         raise ValueError("exact grid exceeds the 2^28 memory guard")
-    value = _grid_mean(X, s, spec)
+    value = _grid_means(X, s, spec, [None])[0]
     return MomentEstimate(value, 0.0, True, spec)
 
 
-def _refine(X: int, s: int, spec0: GridSpec, tol: float) -> MomentEstimate:
-    """Double both grid sizes until successive values agree to tol
-    (relative).  Non-convergence within the memory guard returns the best
-    value with converged=False."""
-    spec = spec0
-    prev = None
-    err = float("nan")
+def _refine(X: int, s: int, cutoffs: Sequence[Optional[Fraction]], tol: float
+            ) -> Tuple[List[float], List[float], GridSpec, bool]:
+    """Means of |g|^s over the alpha rows minor at each cutoff Q (None: all),
+    doubling the grid from auto_spec_start(X, s) until each is within tol of
+    the last level's.  Returns (values, deltas, final spec, converged)."""
+    spec = auto_spec_start(X, s)
+    prev: Optional[List[float]] = None
+    errs = [float("nan")] * len(cutoffs)
     while True:
-        value = _grid_mean(X, s, spec)
+        keeps = [None if T is None else np.flatnonzero(arc_mask(spec, T, X))
+                 for T in cutoffs]
+        values = _grid_means(X, s, spec, keeps)
         if prev is not None:
-            err = abs(value - prev) / max(abs(value), 1e-300)
-            if err <= tol:
-                break
-        prev = value
+            errs = [abs(v - p) / max(abs(v), 1e-300) for v, p in zip(values, prev)]
+            if max(errs) <= tol:
+                return values, errs, spec, True
+        prev = values
         if spec.Malpha * 2 > MALPHA_GUARD:
-            return MomentEstimate(value, err, _band_limited(spec, X, s),
-                                  spec, converged=False)
+            return values, errs, spec, False
         spec = GridSpec(spec.Malpha * 2, spec.Mbeta * 2, X)
-    return MomentEstimate(value, err, _band_limited(spec, X, s), spec)
 
 
 def _band_limited(spec: GridSpec, X: int, s: int) -> bool:
@@ -208,7 +231,8 @@ def moment_estimate(X: int, s: int, tol: float) -> MomentEstimate:
         raise ValueError("s must be >= 1")
     if tol <= 0:
         raise ValueError("tol must be positive")
-    return _refine(X, s, auto_spec_start(X, s), tol)
+    (value,), (err,), spec, converged = _refine(X, s, [None], tol)
+    return MomentEstimate(value, err, _band_limited(spec, X, s), spec, converged)
 
 
 def arc_mask(spec: GridSpec, Q: RealLike, X: int) -> np.ndarray:
@@ -265,32 +289,8 @@ def restricted_profile(X: int, s: int, Qs: Sequence[RealLike],
     for T in fracs:
         if T < 1 or T > X:
             raise ValueError("each Q must lie in [1, X]")
-    spec = auto_spec_start(X, s)
-    prev: Optional[List[float]] = None
-    values: List[float] = []
-    errs = [float("nan")] * len(fracs)
-    converged = True
-    while True:
-        keeps = [np.flatnonzero(arc_mask(spec, T, X)) for T in fracs]
-        totals = [[] for _ in fracs]
-        for j in range(spec.Mbeta):
-            vals = _amp_power(amplitude_row(X, spec, j), s)
-            for t, keep in zip(totals, keeps):
-                t.append(float(vals[keep].sum()))
-        values = [_pairwise_total(t) / (spec.Malpha * spec.Mbeta) for t in totals]
-        if prev is not None:
-            errs = [abs(v - p0) / max(abs(v), 1e-300) for v, p0 in zip(values, prev)]
-            if max(errs) <= tol:
-                break
-        prev = values
-        nxt_malpha = spec.Malpha * 2
-        if nxt_malpha > MALPHA_GUARD:
-            converged = False
-            break
-        spec = GridSpec(nxt_malpha, spec.Mbeta * 2, X)
-    out = []
-    for T, v, e in zip(fracs, values, errs):
-        bb = _arc_count(T) * (2 * float(T) / X ** 3) * float(X) ** s / spec.Malpha
-        out.append(MomentEstimate(v, e, False, spec, converged=converged,
-                                  boundary_bound=bb))
-    return out
+    values, errs, spec, converged = _refine(X, s, fracs, tol)
+    return [MomentEstimate(v, e, False, spec, converged=converged,
+                           boundary_bound=_arc_count(T) * (2 * float(T) / X ** 3)
+                           * float(X) ** s / spec.Malpha)
+            for T, v, e in zip(fracs, values, errs)]

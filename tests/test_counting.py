@@ -2,11 +2,14 @@
 Vinogradov system, and the two-sided fourth-moment identity."""
 
 import itertools
+import math
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
 
+from wmvlab import counting
 from wmvlab.counting import (
     _multisets,
     beta_fourth_moment,
@@ -158,10 +161,51 @@ def test_vinogradov_j_matches_brute_force():
             assert vinogradov_count(X, s) == want, (X, s)
 
 
+def _convolved_counts(X, h):
+    """Numpy oracle: ordered h-tuples over [1, X] per (sum, square-sum,
+    cube-sum) key, as the h-fold convolution of the one-variable spectrum."""
+    x = np.arange(1, X + 1, dtype=np.int64)
+    one = np.stack([x, x * x, x ** 3], axis=1)
+    keys, counts = np.zeros((1, 3), dtype=np.int64), np.ones(1, dtype=np.int64)
+    for _ in range(h):
+        keys = (keys[:, None, :] + one[None, :, :]).reshape(-1, 3)
+        keys, inverse = np.unique(keys, axis=0, return_inverse=True)
+        merged = np.zeros(len(keys), dtype=np.int64)
+        np.add.at(merged, inverse.ravel(), np.repeat(counts, X))
+        counts = merged
+    return counts
+
+
 def test_vinogradov_j_matches_vinogradov_count():
-    for X in (1, 2, 5, 9, 20):
+    for X in range(20, 41):
         for h in (1, 2, 3):
-            assert vinogradov_j(X, h) == vinogradov_count(X, 2 * h), (X, h)
+            counts = _convolved_counts(X, h)
+            want = int(np.dot(counts, counts))
+            assert vinogradov_j(X, h) == want, (X, h)
+            assert vinogradov_count(X, 2 * h) == want, (X, h)
+
+
+def test_packed_batch_keys_fit_in_int64(monkeypatch):
+    # J_{2,3}(2000): the count alone would allow 130 slabs per batch, but the
+    # packed (slab offset, square-sum, cube-sum, weight) key allows only 18
+    X, h = 2000, 2
+    sq_span, cube_span = h * X * X + 1, h * X ** 3 + 1
+    wbits = math.factorial(h).bit_length()
+    inner = counting._multisets
+    widest = []
+
+    def checked(X_, h_, n_lo, n_hi, square):
+        lin, sq, cube, weight = inner(X_, h_, n_lo, n_hi, square)
+        top = np.lexsort((weight, cube, sq, lin))[-1]  # largest packed key
+        packed = ((((int(lin[top]) - n_lo) * sq_span + int(sq[top])) * cube_span
+                   + int(cube[top])) << wbits) | int(weight[top])
+        assert packed <= np.iinfo(np.int64).max, (n_lo, n_hi)
+        widest.append(n_hi - n_lo + 1)
+        return lin, sq, cube, weight
+
+    monkeypatch.setattr(counting, "_multisets", checked)
+    assert vinogradov_j(X, h) == 2 * X * X - X
+    assert max(widest) == 18
 
 
 def test_vinogradov_j_pinned_six_per_side():

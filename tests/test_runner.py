@@ -2,13 +2,14 @@
 
 import csv
 import json
+import os
 
 import pytest
 
-from wmvlab import counting, runner
-from wmvlab.runcache import (CSV_HEADER, CacheCorruption, ResultCache,
-                             RunRecord, append_records, cache_key,
-                             cache_lookup)
+from wmvlab import bounds, cli, counting, runner
+from wmvlab.runcache import (CSV_HEADER, ENGINE_VERSION, CacheCorruption,
+                             CacheVersionMismatch, ResultCache, RunRecord,
+                             append_records, cache_key, cache_lookup)
 from wmvlab.runner import PlanError, _parse_int_list, load_plan, run_plan
 
 
@@ -58,6 +59,38 @@ def test_manifest_names_the_digest(tmp_path):
     manifest = json.loads((tmp_path / "c" / "manifest.json").read_text())
     assert manifest["digest_algorithm"] == "sha256"
     assert manifest["layout"] == "one-record-per-file"
+
+
+def test_cache_from_another_engine_version_is_refused(tmp_path, capsys):
+    old = tmp_path / "old"
+    old.mkdir()
+    manifest = old / "manifest.json"
+    # the manifest cache directories carried before engine versions
+    manifest.write_text(json.dumps({"digest_algorithm": "sha256",
+                                    "layout": "one-record-per-file",
+                                    "version": 1}, indent=2) + "\n")
+    with pytest.raises(CacheVersionMismatch) as info:
+        ResultCache(str(old))
+    assert str(old) in str(info.value)
+    assert f"engine version missing, not the current {ENGINE_VERSION}" in str(info.value)
+    manifest.write_text(json.dumps({"engine_version": ENGINE_VERSION - 1}))
+    with pytest.raises(CacheVersionMismatch,
+                       match=f"engine version {ENGINE_VERSION - 1}, not the current"):
+        cache_lookup("moment_count", {"X": 4, "s": 6}, str(old))
+
+    # `wmvlab run` exits 1 with that message and leaves the directory alone
+    plan = _plan(tmp_path, "[i6-sweep]\nx = 4\n")
+    before = manifest.read_text()
+    assert cli.main(["run", "--config", plan, "--cache-dir", str(old)]) == 1
+    err = capsys.readouterr().err
+    assert str(old) in err and f"not the current {ENGINE_VERSION}" in err
+    assert manifest.read_text() == before and os.listdir(old) == ["manifest.json"]
+
+    fresh = tmp_path / "fresh"
+    assert cli.main(["run", "--config", plan, "--cache-dir", str(fresh)]) == 0
+    stamped = json.loads((fresh / "manifest.json").read_text())
+    assert stamped["engine_version"] == ENGINE_VERSION
+    assert ResultCache(str(fresh)).lookup("moment_count", {"X": 4, "s": 6}) is not None
 
 
 def test_tampered_value_raises_cache_corruption(tmp_path):
@@ -188,6 +221,39 @@ def test_warm_rerun_csv_bodies_match_outside_volatile_columns(tmp_path):
         return [[c for i, c in enumerate(r) if i not in vol] for r in rows]
 
     assert stable(rows_warm) == stable(rows_cold)
+
+
+def test_warm_bounds_plan_does_not_recompute_its_calibration(tmp_path, monkeypatch):
+    calls = []
+    inner = bounds.bound_values
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(bounds, "bound_values", counted)
+    text = "[bounds-compare]\nx = 64\ntrials = {}\nseed = 9\n"
+    path = _plan(tmp_path, text.format(4))
+    cache_dir = str(tmp_path / "cache")
+    cold, warm = tmp_path / "cold.csv", tmp_path / "warm.csv"
+
+    run_plan(path, out=str(cold), cache_dir=cache_dir)
+    assert len(calls) == 4  # one per trial; the calibration reuses them
+    calls.clear()
+    run_plan(path, out=str(warm), cache_dir=cache_dir)
+    assert calls == []
+    vol = (CSV_HEADER.index("run_id"), CSV_HEADER.index("wall_seconds"))
+    stable = [[[c for i, c in enumerate(r) if i not in vol] for r in _csv_rows(p)]
+              for p in (cold, warm)]
+    assert stable[0] == stable[1]
+
+    # a fifth trial: its record is computed once, and the new calibration
+    # recomputes the ratios of the four trials replayed from the cache
+    calls.clear()
+    _, records = run_plan(_plan(tmp_path, text.format(5), "five.ini"), cache_dir=cache_dir)
+    assert len(calls) == 5
+    _, uncached = run_plan(_plan(tmp_path, text.format(5), "five.ini"))
+    assert [r.value for r in records] == [r.value for r in uncached]
 
 
 def test_csv_columns_cover_every_handler_shape(tmp_path):

@@ -98,12 +98,62 @@ def test_even_moment_guards():
 
 
 def test_doubling_past_nyquist_is_stable():
-    from wmvlab.torusgrid import _grid_mean
+    from wmvlab.torusgrid import _grid_means
     X, s = 6, 4
     base = auto_spec_even(X, s)
-    v1 = _grid_mean(X, s, base)
-    v2 = _grid_mean(X, s, GridSpec(base.Malpha * 2, base.Mbeta * 2, X))
+    v1 = _grid_means(X, s, base, [None])[0]
+    v2 = _grid_means(X, s, GridSpec(base.Malpha * 2, base.Mbeta * 2, X), [None])[0]
     assert abs(v2 - v1) <= 1e-9 * abs(v1)
+
+
+def _unfolded_means(X, s, spec, keeps):
+    """Oracle for the folded grid means: every one of the Mbeta rows."""
+    sums = [[] for _ in keeps]
+    for j in range(spec.Mbeta):
+        vals = amplitude_row(X, spec, j) ** s
+        for row_sums, keep in zip(sums, keeps):
+            row_sums.append(vals.sum() if keep is None else vals[keep].sum())
+    return [math.fsum(r) / (spec.Malpha * spec.Mbeta) for r in sums]
+
+
+def test_folded_grid_means_match_every_row():
+    from wmvlab.torusgrid import _grid_means
+    # odd sizes, odd Malpha with even Mbeta (no half shift), even sizes that
+    # are not powers of two (Mbeta/4 not an integer), and two power-of-two grids
+    cases = [(GridSpec(17, 5, 2), 2), (GridSpec(17, 6, 2), 2),
+             (GridSpec(60, 14, 3), 3), (auto_spec_even(4, 6), 3),
+             (auto_spec_start(3, 9), 2)]
+    for spec, Q in cases:
+        X = spec.X
+        keep = np.flatnonzero(arc_mask(spec, Q, X))
+        for s in (2, 3, 9):
+            for keeps in ([None], [keep], [None, keep]):
+                got = _grid_means(X, s, spec, keeps)
+                want = _unfolded_means(X, s, spec, keeps)
+                for g, w in zip(got, want):
+                    assert g == pytest.approx(w, rel=1e-13, abs=0), (spec, s, len(keeps))
+
+
+def test_rows_per_grid_after_the_fold(monkeypatch):
+    calls = []
+
+    def counted(X, spec, j):
+        calls.append(spec)
+        return amplitude_row(X, spec, j)
+
+    monkeypatch.setattr(torusgrid, "amplitude_row", counted)
+    for X, s in ((2, 2), (6, 4), (8, 6)):
+        calls.clear()
+        est = even_moment_exact(X, s)
+        assert len(calls) == est.spec.Mbeta // 4 + 1, (X, s)
+    # refinement: Mbeta/4 + 1 rows per level unrestricted, Mbeta/2 + 1 masked
+    for fold, run in ((4, lambda: moment_estimate(2, 3, 1e-4)),
+                      (2, lambda: restricted_profile(8, 4, [2, 4], 1e-3)[0])):
+        calls.clear()
+        est = run()
+        levels = sorted(set(calls), key=lambda sp: sp.Mbeta)
+        assert levels[-1] == est.spec and len(levels) >= 2
+        assert len(calls) == sum(sp.Mbeta // fold + 1 for sp in levels)
 
 
 def test_moment_estimate_even_converges_immediately():
@@ -173,6 +223,14 @@ def test_arc_mask_matches_classify_everywhere():
     for i in range(spec.Malpha):
         is_minor = not classify(FixedPhase.from_rational(i, spec.Malpha), Q, X).major
         assert mask[i] == is_minor
+
+
+def test_arc_mask_is_mirror_symmetric():
+    # the fold of restricted sums by conjugation needs mask[i] == mask[-i]
+    for X, Q, M in ((6, 2, 2048), (6, 5, 2001), (8, 3.5, 1030), (5, 11, 777),
+                    (12, 12, auto_spec_start(12, 12).Malpha)):
+        mask = arc_mask(GridSpec(M, 2 * X + 1, X), Q, X)
+        assert np.array_equal(mask, mask[-np.arange(M) % M]), (X, Q, M)
 
 
 def test_arc_mask_guards():
