@@ -32,6 +32,8 @@ from typing import Dict, List, Sequence
 from .arcs import dirichlet_approx
 from .phase import SCALE, FixedPhase, eval_f
 
+K_COUNTS_GUARD = 10 ** 7  # cap on k_counts' pure-Python steps h (~0.4 us each)
+
 
 @dataclass(frozen=True)
 class BoundProfile:
@@ -144,15 +146,17 @@ def k_counts(alpha: FixedPhase, k: int, X: int) -> List[HCount]:
     width 1/X^3; returns the occupied buckets (m, K(m)) sorted by m.
 
     Bucketing is exact: with c = frac(h*alpha) as a 128-bit integer, the
-    index is floor(c * X^3 / 2^128).
+    index is floor(c * X^3 / 2^128).  Refuses more than K_COUNTS_GUARD
+    multiples.
     """
     if k < 4:
         raise ValueError("k must be >= 4")
     if X < 1:
         raise ValueError("X must be positive")
     H = kappa(k) * X ** (k - 3)
-    if H > 10 ** 9:
-        raise ValueError("h-range exceeds the 10^9 guard")
+    if H > K_COUNTS_GUARD:
+        raise ValueError(f"k_counts(k={k}, X={X}) steps through {H:,} multiples of "
+                         f"alpha, over the {K_COUNTS_GUARD:,} cap (~4 s)")
     x3 = X ** 3
     frac = alpha.frac
     buckets: Dict[int, int] = {}

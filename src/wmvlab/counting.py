@@ -21,11 +21,13 @@ import math
 
 import numpy as np
 
-from .phase import FixedPhase, SCALE, kahan_add, unit
+from .phase import (BLOCK_TERMS, SCALE, FixedPhase, add_limbs, fsum_carry, kahan_add,
+                    phase_limbs, unit_terms)
 
 _MASK = SCALE - 1
 
 MULTISET_GUARD = 10 ** 8  # cap on sorted h-multisets per count (~10 s)
+IDENTITY_GUARD = 10 ** 8  # cap on u_identity_rhs terms, (2X^3 + X)/3 (X <= 531)
 _BATCH = 1 << 16  # about this many multisets per numpy call
 _INT64_MAX = int(np.iinfo(np.int64).max)
 
@@ -188,65 +190,80 @@ def brute_force_moment(X: int, s: int) -> int:
 
 # -- fourth-moment identity --------------------------------------------------
 
+def _runs(counts: np.ndarray):
+    """Cut consecutive groups of counts[i] >= 1 terms into runs of whole
+    groups holding at most BLOCK_TERMS terms (a larger group runs alone).
+    Yields, per term of each run, its group and its offset in the group."""
+    ends = np.cumsum(counts)
+    g0 = 0
+    while g0 < len(counts):
+        base = int(ends[g0 - 1]) if g0 else 0
+        g1 = max(g0 + 1, int(np.searchsorted(ends, base + BLOCK_TERMS, side="right")))
+        rep = counts[g0:g1]
+        group = np.repeat(np.arange(g0, g1), rep)
+        yield group, np.arange(len(group)) - np.repeat(np.cumsum(rep) - rep, rep)
+        g0 = g1
+
+
 def beta_fourth_moment(alpha: FixedPhase, X: int) -> float:
     """Integral over beta of |g(alpha, beta; X)|^4, done exactly in beta.
 
     Orthogonality in beta leaves the sum of e((x1^3+x2^3-x3^3-x4^3) alpha)
     over quadruples with x1+x2 = x3+x4; grouping by the shared pair sum n
     turns it into sum_n |c_n|^2 with c_n the cube-phase pair sum, which is
-    exactly real and O(X^2) work.
+    exactly real and O(X^2) work.  Each c_n and the outer sum are math.fsum
+    sums of unit-circle kernel terms.
     """
     if not 1 <= X <= 3000:
         raise ValueError("X must be in [1, 3000]")
-    fa = alpha.frac
-    cube_phase = [(x * x * x * fa) & _MASK for x in range(0, X + 1)]
-    total = comp = 0.0
-    for n in range(2, 2 * X + 1):
-        cre = cim = 0.0
-        for x1 in range(max(1, n - X), min(X, n - 1) + 1):
-            c, sn = unit((cube_phase[x1] + cube_phase[n - x1]) & _MASK)
-            cre += c
-            cim += sn
-        total, comp = kahan_add(total, comp, cre * cre + cim * cim)
-    return total
+    cube_hi, cube_lo = phase_limbs(alpha.frac, np.arange(X + 1, dtype=np.int64), 3)
+    n = np.arange(2, 2 * X + 1)
+    first = np.maximum(1, n - X)
+    squares = []
+    for group, offset in _runs(np.minimum(X, n - 1) - first + 1):
+        x1 = first[group] + offset
+        x2 = n[group] - x1
+        c, s = unit_terms(add_limbs((cube_hi[x1], cube_lo[x1]), (cube_hi[x2], cube_lo[x2])))
+        c, s = c.tolist(), s.tolist()
+        cuts = np.flatnonzero(offset == 0).tolist() + [len(c)]
+        for a, b in zip(cuts, cuts[1:]):
+            cre, cim = math.fsum(c[a:b]), math.fsum(s[a:b])
+            squares.append(cre * cre + cim * cim)
+    return math.fsum(squares)
 
 
 def u_identity_rhs(alpha: FixedPhase, X: int) -> float:
     """The same fourth moment after the substitution u1 = x2-x3, u2 = x1-x3,
     u3 = x1+x2: a sum of e(-3 u1 u2 u3 alpha) over integer triples in
     (-X, 2X]^3 subject to u3+u2-u1, u3+u1-u2, u3-u1-u2, u3+u1+u2 all being
-    even and in [1, 2X].  Those four constraints are asserted literally for
-    every term; the loop bounds merely enumerate their solution set.
+    even and in [1, 2X].  Those four constraints are asserted array-wise for
+    every term; the enumeration merely lists their solution set: the pairs
+    with |u1| + |u2| <= X - 1, each with u3 = 2 + |u1| + |u2|, ..., 2X - |u1|
+    - |u2| in steps of 2.  The cosines come from the unit-circle kernel and
+    are summed with math.fsum.  Refuses more than IDENTITY_GUARD terms.
     """
     if not 1 <= X <= 3000:
         raise ValueError("X must be in [1, 3000]")
-    fa = alpha.frac
-    total = comp = 0.0
+    terms = (2 * X ** 3 + X) // 3
+    if terms > IDENTITY_GUARD:
+        raise ValueError(f"u_identity_rhs(X={X}) sums {terms:,} terms, over the "
+                         f"{IDENTITY_GUARD:,} cap (X <= 531)")
     two_x = 2 * X
-    for u1 in range(1 - X, two_x + 1):
-        a1 = abs(u1)
-        f1 = (-3 * u1 * fa) & _MASK
-        for u2 in range(1 - X, two_x + 1):
-            lo = 2 + a1 + abs(u2)
-            hi = two_x - a1 - abs(u2)
-            if lo > hi:
-                continue
-            f12 = (u2 * f1) & _MASK
-            step = (2 * f12) & _MASK
-            cur = (lo * f12) & _MASK
-            for u3 in range(lo, hi + 1, 2):
-                q1 = u3 + u2 - u1
-                q2 = u3 + u1 - u2
-                q3 = u3 - u1 - u2
-                q4 = u3 + u1 + u2
-                assert q1 % 2 == 0 and 1 <= q1 <= two_x
-                assert q2 % 2 == 0 and 1 <= q2 <= two_x
-                assert q3 % 2 == 0 and 1 <= q3 <= two_x
-                assert q4 % 2 == 0 and 1 <= q4 <= two_x
-                c, _ = unit(cur)
-                total, comp = kahan_add(total, comp, c)
-                cur = (cur + step) & _MASK
-    return total
+    u = np.arange(1 - X, X, dtype=np.int64)
+    u1, u2 = np.repeat(u, len(u)), np.tile(u, len(u))
+    a = np.abs(u1) + np.abs(u2)
+    keep = a <= X - 1
+    u1, u2, a = u1[keep], u2[keep], a[keep]
+    total = []
+    for group, offset in _runs(X - a):
+        v1, v2 = u1[group], u2[group]
+        v3 = 2 + a[group] + 2 * offset
+        for q in (v3 + v2 - v1, v3 + v1 - v2, v3 - v1 - v2, v3 + v1 + v2):
+            assert np.all(q % 2 == 0) and np.all((1 <= q) & (q <= two_x))
+        # |3 u1 u2 u3| <= 1.5 X (X-1)^2 < 2^32 for X <= 531, as phase_limbs needs
+        c, _ = unit_terms(phase_limbs(alpha.frac, -3 * v1 * v2 * v3))
+        total = fsum_carry(total, c)
+    return math.fsum(total)
 
 
 def reciprocal_sum_bound(alpha: FixedPhase, X: int) -> float:

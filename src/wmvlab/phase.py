@@ -1,11 +1,17 @@
-"""Fixed-point phase arithmetic and compensated evaluation of cubic Weyl sums.
+"""Fixed-point phase arithmetic and the unit-circle kernel behind the Weyl sums.
 
 Phases live on the torus [0,1) as 128-bit binary fractions, so frac(n*alpha)
 is computed by exact integer multiplication modulo 2^128 instead of lossy
 binary64 reduction (x^3*alpha for x near 2^21 would lose ~63 bits in a
-double).  The unit-circle evaluation folds the fixed-point phase into the
-first octant-equivalent range with exact quarter-point values, which makes
-complex conjugation an exact bit-level symmetry of eval_g/eval_f.
+double).  The sums run through one numpy kernel: `phase_limbs` forms each
+term's phase exactly as two uint64 limbs from 32-bit limb products with
+carries, and `unit_terms` folds it into the first quadrant with 128-bit
+borrows and exact quarter points before taking cos and sin.  A phase and
+its negative fold to the same bits, which makes complex conjugation an
+exact bit-level symmetry of eval_g/eval_f.  Terms are added with math.fsum,
+so every sum is correctly rounded and independent of term order; blocks of
+at most BLOCK_TERMS terms bound the memory without changing any sum.  The
+scalar `unit` is the reference the kernel is tested against.
 """
 
 from __future__ import annotations
@@ -13,7 +19,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Tuple, Union
+from typing import Iterable, List, Tuple, Union
+
+import numpy as np
 
 SCALE_BITS = 128
 SCALE = 1 << SCALE_BITS
@@ -27,7 +35,13 @@ _THREE_QUARTER = _QUARTER * 3
 # evaluable, at phase error still below 2^-48.
 _N_CAP = 1 << 80
 
-_X_CAP_G = 1 << 21  # keeps x^3 < 2^63
+_X_CAP_G = 1 << 21  # keeps x^3 <= 2^63
+_X_CAP_LIMB = 1 << 32  # a limb product a*x + carry stays below 2^64
+
+BLOCK_TERMS = 1 << 16  # terms per kernel call
+_M32 = 0xFFFFFFFF
+_HALF64 = np.uint64(1 << 63)  # the high limb of 1/2
+_QUARTER64 = np.uint64(1 << 62)  # the high limb of 1/4
 
 RealLike = Union[int, float, str, Fraction]
 
@@ -135,6 +149,101 @@ def kahan_add(total: float, comp: float, value: float) -> Tuple[float, float]:
     return t, comp
 
 
+def phase_limbs(frac: int, m: np.ndarray, k: int = 1) -> Tuple[np.ndarray, np.ndarray]:
+    """(m^k * frac) mod 2^128, exactly, as (high, low) uint64 limbs.
+
+    m is an int64 array with |m| < 2^32 and k >= 1.  Each of the k steps
+    multiplies the four 32-bit limbs by |m| with carries (a product plus a
+    carry stays below 2^64); odd powers of negative m are negated mod 2^128.
+    """
+    mag = np.abs(m).astype(np.uint64)
+    limbs = [(frac >> shift) & _M32 for shift in (0, 32, 64, 96)]
+    for _ in range(k):
+        carry = 0
+        for i, a in enumerate(limbs):
+            t = a * mag + carry
+            limbs[i] = t & _M32
+            carry = t >> 32
+    l0, l1, l2, l3 = limbs
+    hi, lo = (l3 << 32) | l2, (l1 << 32) | l0
+    if k % 2:
+        neg = m < 0
+        nh, nl = _negate(hi, lo)
+        hi, lo = np.where(neg, nh, hi), np.where(neg, nl, lo)
+    return hi, lo
+
+
+def add_limbs(p: Tuple[np.ndarray, np.ndarray],
+              q: Tuple[np.ndarray, np.ndarray]) -> Tuple[np.ndarray, np.ndarray]:
+    """(p + q) mod 2^128 on (high, low) uint64 limbs."""
+    lo = p[1] + q[1]
+    return p[0] + q[0] + (lo < q[1]), lo
+
+
+def _negate(hi: np.ndarray, lo: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """(-x) mod 2^128 on (high, low) uint64 limbs."""
+    return ~hi + (lo == 0), ~lo + 1
+
+
+def unit_terms(phase: Tuple[np.ndarray, np.ndarray]) -> Tuple[np.ndarray, np.ndarray]:
+    """(cos, sin) of 2*pi*x/2^128 for phases x given as (high, low) uint64 limbs.
+
+    The array form of `unit`, with the same fold: past 1/2 the phase is
+    negated and past 1/4 reflected to 1/2 - x, both with 128-bit borrows,
+    and the quarter points come out exact.  A phase and its negative fold
+    to the same bits, so their cosines agree and their sines are negatives,
+    bit for bit.  The folded phase reaches the angle through two binary64
+    limb conversions, so a value can differ from `unit`'s in the last bit.
+    """
+    hi, lo = phase
+    past_half = (hi > _HALF64) | ((hi == _HALF64) & (lo != 0))
+    nh, nl = _negate(hi, lo)
+    hi, lo = np.where(past_half, nh, hi), np.where(past_half, nl, lo)
+    past_quarter = (hi > _QUARTER64) | ((hi == _QUARTER64) & (lo != 0))
+    nh, nl = _negate(hi, lo)
+    hi, lo = np.where(past_quarter, nh + _HALF64, hi), np.where(past_quarter, nl, lo)
+    # the folded phase lies in [0, 2^126], an angle in [0, pi/2]
+    t = (hi.astype(np.float64) + lo.astype(np.float64) * 2.0 ** -64) * (math.tau * 2.0 ** -64)
+    c, s = np.cos(t), np.sin(t)
+    quarter = (hi == _QUARTER64) & (lo == 0)
+    c[quarter], s[quarter] = 0.0, 1.0
+    return np.where(past_quarter, -c, c), np.where(past_half, -s, s)
+
+
+def fsum_carry(terms: List[float], values: np.ndarray) -> List[float]:
+    """A short float list with the exact sum of `terms` (which it consumes),
+    followed by `values`.
+
+    Feeding blocks through this keeps math.fsum of the result equal to
+    math.fsum over every value fed so far: the carried floats are a
+    non-overlapping expansion of the exact running total, each the
+    correctly rounded remainder of the ones before it.
+    """
+    carried = []
+    rest = math.fsum(terms)
+    while rest:
+        carried.append(rest)
+        terms.append(-rest)
+        rest = math.fsum(terms)
+    return carried + values.tolist()
+
+
+def _unit_sum(phases: Iterable[Tuple[np.ndarray, np.ndarray]]) -> complex:
+    """math.fsum of the kernel's cos and sin over blocks of limb phases."""
+    re: List[float] = []
+    im: List[float] = []
+    for phase in phases:
+        c, s = unit_terms(phase)
+        re, im = fsum_carry(re, c), fsum_carry(im, s)
+    return complex(math.fsum(re), math.fsum(im))
+
+
+def _blocks(lo: int, hi: int) -> Iterable[np.ndarray]:
+    """lo..hi as int64 arrays of at most BLOCK_TERMS values."""
+    for start in range(lo, hi + 1, BLOCK_TERMS):
+        yield np.arange(start, min(start + BLOCK_TERMS, hi + 1), dtype=np.int64)
+
+
 def _check_span(X: int, span) -> Tuple[int, int]:
     if span is None:
         return 1, X
@@ -148,40 +257,31 @@ def eval_g(alpha: FixedPhase, beta: FixedPhase, X: int,
            span: Tuple[int, int] | None = None) -> complex:
     """Sum of e(alpha*x^3 + beta*x) for x in span (default [1, X]).
 
-    X <= 2^21 so that x^3 < 2^63; per-term phase error < 2^-63, and the
-    compensated accumulation keeps the splitting discrepancy under X*2^-50.
+    X <= 2^21 so that x^3 <= 2^63.  Phases are exact mod 2^128, each term
+    comes from the unit-circle kernel, and the real and imaginary parts are
+    math.fsum sums: correctly rounded and independent of term order.
     """
     if not 1 <= X <= _X_CAP_G:
         raise ValueError("X must satisfy 1 <= X <= 2^21 (cube overflow guard)")
     lo, hi = _check_span(X, span)
-    fa = alpha.frac
-    fb = beta.frac
-    re = ce = 0.0
-    im = ci = 0.0
-    for x in range(lo, hi + 1):
-        c, s = unit((x * x * x * fa + x * fb) & _MASK)
-        re, ce = kahan_add(re, ce, c)
-        im, ci = kahan_add(im, ci, s)
-    return complex(re, im)
+    return _unit_sum(add_limbs(phase_limbs(alpha.frac, x, 3), phase_limbs(beta.frac, x))
+                     for x in _blocks(lo, hi))
 
 
 def eval_f(alpha: FixedPhase, k: int, X: int) -> complex:
-    """Sum of e(alpha*x^k) for 1 <= x <= X, same error contract as eval_g.
+    """Sum of e(alpha*x^k) for 1 <= x <= X, by the same kernel and fsum
+    contract as eval_g.
 
     The stated working range is X^k < 2^64; inputs are accepted up to
-    X^k < 2^80 (phase error still < 2^-48) and rejected beyond that.
+    X^k < 2^80 (phase error still < 2^-48) and X < 2^32 (the limb multiply
+    takes one factor x per step) and rejected beyond that.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     if X < 1:
         raise ValueError("X must be positive")
+    if X >= _X_CAP_LIMB:
+        raise ValueError("X must be below 2^32 (the limb multiply takes x < 2^32)")
     if X ** k >= _N_CAP:
         raise ValueError("x^k overflows the multiplier cap (X^k >= 2^80)")
-    fa = alpha.frac
-    re = ce = 0.0
-    im = ci = 0.0
-    for x in range(1, X + 1):
-        c, s = unit((x ** k * fa) & _MASK)
-        re, ce = kahan_add(re, ce, c)
-        im, ci = kahan_add(im, ci, s)
-    return complex(re, im)
+    return _unit_sum(phase_limbs(alpha.frac, x, k) for x in _blocks(1, X))

@@ -24,7 +24,9 @@ CSV_HEADER = ["run_id", "op", "X", "s", "Q", "k", "alpha",
 
 # Bump whenever any engine's results can change, even in the last bit.
 # 2: torus-grid rows folded by symmetry (float summation order changed).
-ENGINE_VERSION = 2
+# 3: eval_f and the fourth-moment identity sum kernel terms with math.fsum
+#    (stored bound_values and lemma22_check floats can move in the last bits).
+ENGINE_VERSION = 3
 
 _MANIFEST = {"digest_algorithm": "sha256", "engine_version": ENGINE_VERSION,
              "layout": "one-record-per-file", "version": 1}
@@ -62,6 +64,10 @@ def cache_key(op: str, params: Dict[str, object]) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()
 
 
+def _record_path(root: str, op: str, params: Dict[str, object]) -> str:
+    return os.path.join(root, cache_key(op, params) + ".json")
+
+
 def _atomic_write(path: str, data: str) -> None:
     tmp = path + ".tmp"
     with open(tmp, "w") as fh:
@@ -69,46 +75,54 @@ def _atomic_write(path: str, data: str) -> None:
     os.replace(tmp, path)
 
 
+def _check_version(root: str) -> bool:
+    """Whether root has a manifest; raises CacheVersionMismatch when that
+    manifest names another engine version or none."""
+    manifest = os.path.join(root, "manifest.json")
+    if not os.path.exists(manifest):
+        return False
+    with open(manifest) as fh:
+        found = json.load(fh).get("engine_version", "missing")
+    if found != ENGINE_VERSION:
+        raise CacheVersionMismatch(
+            f"cache directory {root} holds results of engine version {found}, "
+            f"not the current {ENGINE_VERSION}; use a fresh --cache-dir")
+    return True
+
+
+def _read_record(path: str) -> Optional[RunRecord]:
+    if not os.path.exists(path):
+        return None
+    with open(path) as fh:
+        try:
+            blob = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise CacheCorruption(f"unreadable cache file {path}: {exc}") from exc
+    payload = blob.get("payload")
+    checksum = blob.get("checksum")
+    if payload is None or checksum is None:
+        raise CacheCorruption(f"cache file {path} missing payload or checksum")
+    canon = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    if hashlib.sha256(canon.encode()).hexdigest() != checksum:
+        raise CacheCorruption(f"checksum mismatch in cache file {path}")
+    return RunRecord(
+        run_id=payload["run_id"], op=payload["op"], params=payload["params"],
+        value=payload["value"], err_est=payload["err_est"],
+        wall_seconds=payload["wall_seconds"], exact=payload.get("exact"))
+
+
 class ResultCache:
     def __init__(self, root: str):
         self.root = root
         os.makedirs(root, exist_ok=True)
-        manifest = os.path.join(root, "manifest.json")
-        if not os.path.exists(manifest):
-            _atomic_write(manifest, json.dumps(_MANIFEST, indent=2) + "\n")
-            return
-        with open(manifest) as fh:
-            found = json.load(fh).get("engine_version", "missing")
-        if found != ENGINE_VERSION:
-            raise CacheVersionMismatch(
-                f"cache directory {root} holds results of engine version {found}, "
-                f"not the current {ENGINE_VERSION}; use a fresh --cache-dir")
-
-    def _path(self, op: str, params: Dict[str, object]) -> str:
-        return os.path.join(self.root, cache_key(op, params) + ".json")
+        if not _check_version(root):
+            _atomic_write(os.path.join(root, "manifest.json"),
+                          json.dumps(_MANIFEST, indent=2) + "\n")
 
     def lookup(self, op: str, params: Dict[str, object]) -> Optional[RunRecord]:
         """The stored record for exactly these (op, canonical params), else
         None.  Raises CacheCorruption on checksum mismatch."""
-        path = self._path(op, params)
-        if not os.path.exists(path):
-            return None
-        with open(path) as fh:
-            try:
-                blob = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise CacheCorruption(f"unreadable cache file {path}: {exc}") from exc
-        payload = blob.get("payload")
-        checksum = blob.get("checksum")
-        if payload is None or checksum is None:
-            raise CacheCorruption(f"cache file {path} missing payload or checksum")
-        canon = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-        if hashlib.sha256(canon.encode()).hexdigest() != checksum:
-            raise CacheCorruption(f"checksum mismatch in cache file {path}")
-        return RunRecord(
-            run_id=payload["run_id"], op=payload["op"], params=payload["params"],
-            value=payload["value"], err_est=payload["err_est"],
-            wall_seconds=payload["wall_seconds"], exact=payload.get("exact"))
+        return _read_record(_record_path(self.root, op, params))
 
     def store(self, record: RunRecord) -> None:
         payload = {
@@ -119,16 +133,18 @@ class ResultCache:
         canon = json.dumps(payload, sort_keys=True, separators=(",", ":"))
         blob = {"payload": payload,
                 "checksum": hashlib.sha256(canon.encode()).hexdigest()}
-        _atomic_write(self._path(record.op, record.params),
+        _atomic_write(_record_path(self.root, record.op, record.params),
                       json.dumps(blob, sort_keys=True))
 
 
 def cache_lookup(op: str, params: Dict[str, object],
                  cache_dir: str) -> Optional[RunRecord]:
-    """Convenience wrapper over ResultCache.lookup for a directory path."""
-    if not os.path.isdir(cache_dir):
+    """ResultCache.lookup for a directory path, without writing to it: a
+    directory with no manifest holds no records and is left as it is, and
+    one from another engine version raises CacheVersionMismatch."""
+    if not os.path.isdir(cache_dir) or not _check_version(cache_dir):
         return None
-    return ResultCache(cache_dir).lookup(op, params)
+    return _read_record(_record_path(cache_dir, op, params))
 
 
 def _csv_row(record: RunRecord) -> List[str]:

@@ -135,6 +135,12 @@ def test_k_counts_guard():
         k_counts(FixedPhase(0), 6, 200)  # 960 * 200^3 = 7.7e9 over the cap
 
 
+def test_k_counts_guard_at_ten_million():
+    # 960 * 22^3 = 10,222,080 steps is over the cap; 960 * 21^3 is under it
+    with pytest.raises(ValueError, match="10,222,080 multiples of alpha, over the 10,000,000 cap"):
+        k_counts(FixedPhase(0), 6, 22)
+
+
 def test_k_bound_check_properties():
     golden = FixedPhase.from_real(Fraction(math.isqrt(5 * 10 ** 72), 10 ** 36) - 1)
     r = k_bound_check(golden, 6, 8)

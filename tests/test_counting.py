@@ -20,7 +20,7 @@ from wmvlab.counting import (
     vinogradov_count,
     vinogradov_j,
 )
-from wmvlab.phase import FixedPhase
+from wmvlab.phase import SCALE, FixedPhase, unit_terms
 
 
 def _ordered_spectrum(X, h):
@@ -282,6 +282,45 @@ def test_size_guards_on_identity_ops():
         u_identity_rhs(FixedPhase(0), 3001)
     with pytest.raises(ValueError):
         reciprocal_sum_bound(FixedPhase(0), 10 ** 4 + 1)
+
+
+def test_identity_term_guard():
+    # (2X^3 + X)/3 terms: 99,814,371 at X = 531 is admitted, X = 532 is not
+    with pytest.raises(ValueError, match=r"100,379,356 terms, over the 100,000,000 cap"):
+        u_identity_rhs(FixedPhase(0), 532)
+
+
+def _kernel_fsum(fracs):
+    """math.fsum of the kernel's cosines and sines over one whole array."""
+    limbs = (np.array([f >> 64 for f in fracs], dtype=np.uint64),
+             np.array([f & ((1 << 64) - 1) for f in fracs], dtype=np.uint64))
+    c, s = unit_terms(limbs)
+    return math.fsum(c), math.fsum(s)
+
+
+def test_identity_sums_match_literal_loops_across_blocks():
+    """Both sides against their literal scalar enumerations, at sizes that
+    take several kernel blocks: the blocks change no sum, bit for bit."""
+    a = FixedPhase(random.Random(97).getrandbits(128))
+    X = 47  # 69,231 u-triples
+    fracs = []
+    for u1 in range(1 - X, 2 * X + 1):
+        for u2 in range(1 - X, 2 * X + 1):
+            for u3 in range(1, 2 * X + 1):  # u3 = (q1 + q2) / 2 lies in [1, 2X]
+                q1, q2, q3, q4 = u3 + u2 - u1, u3 + u1 - u2, u3 - u1 - u2, u3 + u1 + u2
+                # the four q share one parity
+                if (q1 % 2 == 0 and 1 <= q1 <= 2 * X and 1 <= q2 <= 2 * X
+                        and 1 <= q3 <= 2 * X and 1 <= q4 <= 2 * X):
+                    fracs.append((-3 * u1 * u2 * u3 * a.frac) % SCALE)
+    assert len(fracs) == (2 * X ** 3 + X) // 3
+    assert u_identity_rhs(a, X) == _kernel_fsum(fracs)[0]
+    X = 300  # 90,000 pairs
+    squares = []
+    for n in range(2, 2 * X + 1):
+        re, im = _kernel_fsum([((x1 ** 3 + (n - x1) ** 3) * a.frac) % SCALE
+                               for x1 in range(max(1, n - X), min(X, n - 1) + 1)])
+        squares.append(re * re + im * im)
+    assert beta_fourth_moment(a, X) == math.fsum(squares)
 
 
 def test_reciprocal_sum_examples():

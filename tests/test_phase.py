@@ -5,16 +5,23 @@ import random
 from fractions import Fraction
 
 import mpmath
+import numpy as np
 import pytest
 
+from wmvlab import counting, phase
 from wmvlab.phase import (
+    BLOCK_TERMS,
     SCALE,
     FixedPhase,
+    add_limbs,
     eval_f,
     eval_g,
+    fsum_carry,
     kahan_add,
     phase_frac,
+    phase_limbs,
     unit,
+    unit_terms,
 )
 
 HALF = FixedPhase.from_rational(1, 2)
@@ -23,6 +30,16 @@ ZERO = FixedPhase(0)
 
 def rand_phase(rng):
     return FixedPhase(rng.getrandbits(128))
+
+
+def to_limbs(fracs):
+    """Python-int phases as (high, low) uint64 limb arrays."""
+    return (np.array([f >> 64 for f in fracs], dtype=np.uint64),
+            np.array([f & ((1 << 64) - 1) for f in fracs], dtype=np.uint64))
+
+
+def from_limbs(hi, lo):
+    return [(int(h) << 64) | int(l) for h, l in zip(hi, lo)]
 
 
 def test_from_rational_small_cases():
@@ -125,6 +142,103 @@ def test_kahan_add_compensates():
     assert abs(total - 10 ** 4) < 1e-9
 
 
+def test_unit_terms_against_scalar_unit():
+    """The kernel is the array form of `unit`: within 2.3e-16 (the folded
+    phase reaches the angle through two binary64 limb conversions instead of
+    one correctly rounded division), exact at the quarter points."""
+    rng = random.Random(59)
+    quarters = [0, SCALE >> 2, SCALE >> 1, 3 * (SCALE >> 2)]
+    fracs = [rng.getrandbits(128) for _ in range(20000)]
+    fracs += quarters + [(q + d) % SCALE for q in quarters for d in (-1, 1)]
+    # a zero low limb at and next to each fold boundary, and elsewhere
+    fracs += [((q >> 64) + d) % (1 << 64) << 64 for q in quarters for d in (-1, 0, 1)]
+    fracs += [rng.getrandbits(64) << 64 for _ in range(200)]
+    c, s = unit_terms(to_limbs(fracs))
+    want = np.array([unit(f) for f in fracs])
+    assert np.max(np.abs(c - want[:, 0])) <= 2.3e-16
+    assert np.max(np.abs(s - want[:, 1])) <= 2.3e-16
+    # the same fold: the signs agree even where cos or sin is below 2.3e-16
+    assert np.array_equal(np.signbit(c), np.signbit(want[:, 0]))
+    assert np.array_equal(np.signbit(s), np.signbit(want[:, 1]))
+    n = len(quarters)
+    assert c[20000:20000 + n].tolist() == [1.0, 0.0, -1.0, 0.0]
+    assert s[20000:20000 + n].tolist() == [0.0, 1.0, 0.0, -1.0]
+
+
+def test_unit_terms_conjugation_is_bitwise():
+    rng = random.Random(61)
+    fracs = [rng.getrandbits(128) for _ in range(5000)]
+    fracs += [1, SCALE - 1, SCALE >> 2, SCALE >> 1, 3 * (SCALE >> 2), rng.getrandbits(64) << 64]
+    c1, s1 = unit_terms(to_limbs(fracs))
+    c2, s2 = unit_terms(to_limbs([(-f) % SCALE for f in fracs]))
+    assert np.array_equal(c1, c2)
+    assert np.array_equal(s1, -s2)
+
+
+def test_phase_limbs_are_exact():
+    rng = random.Random(67)
+    for _ in range(5):
+        a = rng.getrandbits(128)
+        # signed multipliers, |m| < 2^32, odd and even powers
+        m = np.array([rng.randrange(1 - (1 << 32), 1 << 32) for _ in range(500)]
+                     + [0, 1, -1, (1 << 32) - 1, 1 - (1 << 32)], dtype=np.int64)
+        for k in (1, 2, 3):
+            got = from_limbs(*phase_limbs(a, m, k))
+            assert got == [(int(v) ** k * a) % SCALE for v in m]
+        # x^k up to the 2^80 multiplier cap
+        for k in (1, 2, 3, 4, 5, 6):
+            top = min(1 << 32, math.ceil(2 ** (80 / k))) - 1
+            while top ** k >= 1 << 80:
+                top -= 1
+            x = np.array([top, top - 1, 2, 1] + [rng.randrange(1, top) for _ in range(200)],
+                         dtype=np.int64)
+            assert from_limbs(*phase_limbs(a, x, k)) == [(int(v) ** k * a) % SCALE for v in x]
+        # addition carries out of the low limb and wraps past 2^128
+        p = [rng.getrandbits(128) for _ in range(300)] + [SCALE - 1, (1 << 64) - 1]
+        q = [rng.getrandbits(128) for _ in range(300)] + [1, 1]
+        got = from_limbs(*add_limbs(to_limbs(p), to_limbs(q)))
+        assert got == [(x + y) % SCALE for x, y in zip(p, q)]
+
+
+def test_fsum_carry_matches_one_fsum():
+    """Blocks fed through fsum_carry give math.fsum over all of them."""
+    rng = random.Random(71)
+    values = [rng.choice([1e16, -1e16, 1.0, 1e-16, -3e-17]) * rng.random()
+              for _ in range(5000)] + [1e100, 1.0, -1e100, 2.0 ** -60]
+    rng.shuffle(values)
+    for size in (1, 7, 256, 5000):
+        terms = []
+        for i in range(0, len(values), size):
+            terms = fsum_carry(terms, np.array(values[i:i + size]))
+        assert math.fsum(terms) == math.fsum(values)
+
+
+def test_blocks_do_not_change_the_sum():
+    # three kernel blocks against one whole-array fsum, bit for bit
+    rng = random.Random(73)
+    a, b = rand_phase(rng), rand_phase(rng)
+    X = 2 * BLOCK_TERMS + 5
+    x = np.arange(1, X + 1, dtype=np.int64)
+    c, s = unit_terms(add_limbs(phase_limbs(a.frac, x, 3), phase_limbs(b.frac, x)))
+    assert eval_g(a, b, X) == complex(math.fsum(c), math.fsum(s))
+    c, s = unit_terms(phase_limbs(a.frac, x, 2))
+    assert eval_f(a, 2, X) == complex(math.fsum(c), math.fsum(s))
+
+
+def test_sums_make_no_scalar_unit_call(monkeypatch):
+    def scalar_unit(frac):
+        raise AssertionError("scalar unit() called")
+
+    monkeypatch.setattr(phase, "unit", scalar_unit)
+    monkeypatch.setattr(counting, "unit", scalar_unit, raising=False)
+    rng = random.Random(79)
+    a, b = rand_phase(rng), rand_phase(rng)
+    eval_f(a, 6, 300)
+    eval_g(a, b, 300)
+    counting.beta_fourth_moment(a, 20)
+    counting.u_identity_rhs(a, 20)
+
+
 def test_eval_g_examples():
     assert eval_g(ZERO, ZERO, 7) == 7 + 0j
     v = eval_g(ZERO, HALF, 4)
@@ -150,6 +264,14 @@ def test_eval_guards():
         eval_f(ZERO, 6, 1 << 14)  # X^k = 2^84 over the cap
     with pytest.raises(ValueError):
         eval_f(ZERO, 0, 5)
+
+
+def test_eval_f_limb_guard():
+    # the limb multiply takes x < 2^32; refused before any work starts
+    with pytest.raises(ValueError, match="below 2\\^32"):
+        eval_f(ZERO, 1, 1 << 32)
+    with pytest.raises(ValueError, match="below 2\\^32"):
+        eval_f(ZERO, 2, (1 << 32) + 5)
 
 
 def test_periodicity_bit_for_bit():
@@ -227,6 +349,26 @@ def test_eval_g_against_quad_precision_oracle():
                 im += mpmath.sin(t)
             assert abs(got.real - float(re)) < 1e-9
             assert abs(got.imag - float(im)) < 1e-9
+
+
+def test_eval_f_against_quad_precision_oracle():
+    """k = 6, X <= 2048: within X * 2^-50 of a 40-digit reference sum (each
+    kernel term is within 2.3e-16 and the sum is correctly rounded)."""
+    rng = random.Random(83)
+    cases = [(rand_phase(rng), 2048), (rand_phase(rng), 2048),
+             (rand_phase(rng), 1000), (FixedPhase.from_rational(1, 7), 512)]
+    with mpmath.workdps(40):
+        two_pi = 2 * mpmath.pi
+        for a, X in cases:
+            got = eval_f(a, 6, X)
+            re = mpmath.mpf(0)
+            im = mpmath.mpf(0)
+            for x in range(1, X + 1):
+                t = two_pi * mpmath.mpf((x ** 6 * a.frac) % SCALE) / SCALE
+                re += mpmath.cos(t)
+                im += mpmath.sin(t)
+            assert abs(got.real - float(re)) <= X * 2.0 ** -50
+            assert abs(got.imag - float(im)) <= X * 2.0 ** -50
 
 
 def test_as_fraction_to_float_roundtrip():

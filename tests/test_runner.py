@@ -44,6 +44,11 @@ def test_cache_lookup_miss_then_hit_then_changed_param(tmp_path):
     assert cache_lookup("vinogradov_count", params, cache_dir) is None
 
 
+def test_cache_lookup_leaves_an_empty_directory_empty(tmp_path):
+    assert cache_lookup("moment_count", {"X": 12, "s": 4}, str(tmp_path)) is None
+    assert os.listdir(tmp_path) == []
+
+
 def test_cache_key_is_order_insensitive():
     a = cache_key("moment_count", {"X": 5, "s": 2})
     b = cache_key("moment_count", {"s": 2, "X": 5})
