@@ -15,7 +15,7 @@ from .counting import (beta_fourth_moment, brute_force_moment, moment_count,
                        reciprocal_sum_bound, u_identity_rhs, vinogradov_count,
                        vinogradov_j)
 from .fitting import FitResult, fit_powerlaw, fit_segre
-from .phase import FixedPhase, eval_f, eval_g, phase_frac, unit
+from .phase import FixedPhase, eval_f, eval_g, unit
 from .runcache import (CacheCorruption, CacheVersionMismatch, ResultCache,
                        RunRecord, append_records, cache_lookup)
 from .runner import run_plan

@@ -21,10 +21,8 @@ import math
 
 import numpy as np
 
-from .phase import (BLOCK_TERMS, SCALE, FixedPhase, add_limbs, fsum_carry, kahan_add,
+from .phase import (BLOCK_TERMS, FixedPhase, add_limbs, fold_half, fsum_carry,
                     phase_limbs, unit_terms)
-
-_MASK = SCALE - 1
 
 MULTISET_GUARD = 10 ** 8  # cap on sorted h-multisets per count (~10 s)
 IDENTITY_GUARD = 10 ** 8  # cap on u_identity_rhs terms, (2X^3 + X)/3 (X <= 531)
@@ -269,27 +267,23 @@ def u_identity_rhs(alpha: FixedPhase, X: int) -> float:
 def reciprocal_sum_bound(alpha: FixedPhase, X: int) -> float:
     """Majorant sum over 1 <= u1, u2 <= 2X of min(X, 1/||6 alpha u1 u2||),
     with || . || the distance to the nearest integer taken on the exact
-    fixed-point value of alpha."""
+    fixed-point value of alpha.
+
+    Each phase 6 u1 u2 alpha mod 2^128 comes from the limb kernel and is
+    folded to its distance by `fold_half`.  The pairs u1 < u2 stand for
+    their mirror images with weight 2, and the terms are summed with
+    math.fsum."""
     if not 1 <= X <= 10 ** 4:
         raise ValueError("X must be in [1, 10^4]")
-    fa = alpha.frac
     xf = float(X)
-    total = comp = 0.0
-    two_x = 2 * X
-    for u1 in range(1, two_x + 1):
-        step = (6 * u1 * fa) & _MASK
-        # row sum over u2 >= u1 once; (u1, u2) and (u2, u1) contribute equally
-        cur = (step * u1) & _MASK
-        row = rcomp = 0.0
-        first = True
-        for _u2 in range(u1, two_x + 1):
-            d = cur if cur <= SCALE - cur else SCALE - cur
-            term = xf if d == 0 else min(xf, SCALE / d)
-            if first:
-                diag = term
-                first = False
-            else:
-                row, rcomp = kahan_add(row, rcomp, term)
-            cur = (cur + step) & _MASK
-        total, comp = kahan_add(total, comp, 2.0 * row + diag)
-    return total
+    u = np.arange(1, 2 * X + 1, dtype=np.int64)
+    total = []
+    for group, offset in _runs(2 * X + 1 - u):  # row u1 holds u2 = u1..2X
+        u1 = u[group]
+        # 6 u1 u2 <= 24 X^2 < 2^32 for X <= 10^4, as phase_limbs needs
+        (hi, lo), _ = fold_half(phase_limbs(alpha.frac, 6 * u1 * (u1 + offset)))
+        dist = hi.astype(np.float64) * 2.0 ** -64 + lo.astype(np.float64) * 2.0 ** -128
+        with np.errstate(divide="ignore"):  # distance 0: min(X, inf) = X
+            term = np.minimum(xf, 1.0 / dist)
+        total = fsum_carry(total, np.where(offset == 0, term, 2.0 * term))
+    return math.fsum(total)

@@ -11,7 +11,8 @@ its negative fold to the same bits, which makes complex conjugation an
 exact bit-level symmetry of eval_g/eval_f.  Terms are added with math.fsum,
 so every sum is correctly rounded and independent of term order; blocks of
 at most BLOCK_TERMS terms bound the memory without changing any sum.  The
-scalar `unit` is the reference the kernel is tested against.
+scalar `unit` is the reference the kernel is tested against.  The same limb
+arithmetic serves `bounds.k_counts` and `counting.reciprocal_sum_bound`.
 """
 
 from __future__ import annotations
@@ -101,15 +102,6 @@ class FixedPhase:
         return self.frac / SCALE
 
 
-def phase_frac(alpha: FixedPhase, n: int) -> FixedPhase:
-    """frac(n * alpha) with absolute error < n * 2^-128.
-
-    Full-width integer multiply keeping the low 128 fractional bits; wrapping
-    is the torus semantics, so there is no error condition beyond the size cap.
-    """
-    return alpha.mul_int(n)
-
-
 def unit(frac: int) -> Tuple[float, float]:
     """(cos, sin) of 2*pi*frac/2^128.
 
@@ -141,14 +133,6 @@ def unit(frac: int) -> Tuple[float, float]:
     return (c_sign * math.cos(t), s_sign * math.sin(t))
 
 
-def kahan_add(total: float, comp: float, value: float) -> Tuple[float, float]:
-    """One compensated-summation step; returns (new_total, new_compensation)."""
-    y = value - comp
-    t = total + y
-    comp = (t - total) - y
-    return t, comp
-
-
 def phase_limbs(frac: int, m: np.ndarray, k: int = 1) -> Tuple[np.ndarray, np.ndarray]:
     """(m^k * frac) mod 2^128, exactly, as (high, low) uint64 limbs.
 
@@ -157,13 +141,9 @@ def phase_limbs(frac: int, m: np.ndarray, k: int = 1) -> Tuple[np.ndarray, np.nd
     carry stays below 2^64); odd powers of negative m are negated mod 2^128.
     """
     mag = np.abs(m).astype(np.uint64)
-    limbs = [(frac >> shift) & _M32 for shift in (0, 32, 64, 96)]
+    limbs = split_limbs(frac)
     for _ in range(k):
-        carry = 0
-        for i, a in enumerate(limbs):
-            t = a * mag + carry
-            limbs[i] = t & _M32
-            carry = t >> 32
+        limbs, _carry = mul_limbs(limbs, mag)
     l0, l1, l2, l3 = limbs
     hi, lo = (l3 << 32) | l2, (l1 << 32) | l0
     if k % 2:
@@ -171,6 +151,24 @@ def phase_limbs(frac: int, m: np.ndarray, k: int = 1) -> Tuple[np.ndarray, np.nd
         nh, nl = _negate(hi, lo)
         hi, lo = np.where(neg, nh, hi), np.where(neg, nl, lo)
     return hi, lo
+
+
+def split_limbs(frac: int) -> List[int]:
+    """A 128-bit fraction as four little-endian 32-bit limbs."""
+    return [(frac >> shift) & _M32 for shift in (0, 32, 64, 96)]
+
+
+def mul_limbs(limbs: List, mag) -> Tuple[List, np.ndarray]:
+    """limbs * mag on four little-endian 32-bit limbs of a 128-bit fraction,
+    with mag < 2^32: the product's low 128 bits as four limbs, and the
+    carry out of the top limb, floor(limbs * mag / 2^128)."""
+    out = []
+    carry = 0
+    for a in limbs:
+        t = a * mag + carry
+        out.append(t & _M32)
+        carry = t >> 32
+    return out, carry
 
 
 def add_limbs(p: Tuple[np.ndarray, np.ndarray],
@@ -185,6 +183,16 @@ def _negate(hi: np.ndarray, lo: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return ~hi + (lo == 0), ~lo + 1
 
 
+def fold_half(phase: Tuple[np.ndarray, np.ndarray]
+              ) -> Tuple[Tuple[np.ndarray, np.ndarray], np.ndarray]:
+    """Phases past 1/2 negated, with 128-bit borrows, and where that
+    happened: the folded phase is the distance to the nearest integer."""
+    hi, lo = phase
+    past_half = (hi > _HALF64) | ((hi == _HALF64) & (lo != 0))
+    nh, nl = _negate(hi, lo)
+    return (np.where(past_half, nh, hi), np.where(past_half, nl, lo)), past_half
+
+
 def unit_terms(phase: Tuple[np.ndarray, np.ndarray]) -> Tuple[np.ndarray, np.ndarray]:
     """(cos, sin) of 2*pi*x/2^128 for phases x given as (high, low) uint64 limbs.
 
@@ -195,10 +203,7 @@ def unit_terms(phase: Tuple[np.ndarray, np.ndarray]) -> Tuple[np.ndarray, np.nda
     bit for bit.  The folded phase reaches the angle through two binary64
     limb conversions, so a value can differ from `unit`'s in the last bit.
     """
-    hi, lo = phase
-    past_half = (hi > _HALF64) | ((hi == _HALF64) & (lo != 0))
-    nh, nl = _negate(hi, lo)
-    hi, lo = np.where(past_half, nh, hi), np.where(past_half, nl, lo)
+    (hi, lo), past_half = fold_half(phase)
     past_quarter = (hi > _QUARTER64) | ((hi == _QUARTER64) & (lo != 0))
     nh, nl = _negate(hi, lo)
     hi, lo = np.where(past_quarter, nh + _HALF64, hi), np.where(past_quarter, nl, lo)

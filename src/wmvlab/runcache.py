@@ -6,7 +6,8 @@ checksum of its own payload so corruption is detected, never silently
 swallowed.  A manifest records the digest algorithm and the engine version
 whose results the directory holds; a directory from another engine version
 is refused, because its floats may differ in the last bits from what this
-engine computes.  Writes go through a temp file and an atomic rename.
+engine computes, and so is one that holds records but no manifest.  Writes
+go through a temp file and an atomic rename.
 """
 
 from __future__ import annotations
@@ -26,7 +27,9 @@ CSV_HEADER = ["run_id", "op", "X", "s", "Q", "k", "alpha",
 # 2: torus-grid rows folded by symmetry (float summation order changed).
 # 3: eval_f and the fourth-moment identity sum kernel terms with math.fsum
 #    (stored bound_values and lemma22_check floats can move in the last bits).
-ENGINE_VERSION = 3
+# 4: grid row sums are added with math.fsum instead of a pairwise tree (grid
+#    and restricted floats can move in the last bits).
+ENGINE_VERSION = 4
 
 _MANIFEST = {"digest_algorithm": "sha256", "engine_version": ENGINE_VERSION,
              "layout": "one-record-per-file", "version": 1}
@@ -112,10 +115,18 @@ def _read_record(path: str) -> Optional[RunRecord]:
 
 
 class ResultCache:
+    """The cache in directory `root`, made if missing.  A directory with no
+    manifest is stamped with the current one only if it holds no records;
+    with records it raises CacheVersionMismatch and is left untouched."""
+
     def __init__(self, root: str):
         self.root = root
         os.makedirs(root, exist_ok=True)
         if not _check_version(root):
+            if any(name.endswith(".json") for name in os.listdir(root)):
+                raise CacheVersionMismatch(
+                    f"cache directory {root} holds records but no manifest, so "
+                    f"their engine version is unknown; use a fresh --cache-dir")
             _atomic_write(os.path.join(root, "manifest.json"),
                           json.dumps(_MANIFEST, indent=2) + "\n")
 

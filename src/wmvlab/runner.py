@@ -82,9 +82,9 @@ class _Session:
         return rec
 
 
-def _count_sweep(session: _Session, opt: Dict[str, str], s_default: int = 6) -> List[RunRecord]:
+def _count_sweep(session: _Session, opt: Dict[str, str]) -> List[RunRecord]:
     xs = _parse_int_list(opt["x"], opt.get("step"))
-    s = int(opt.get("s", s_default))
+    s = int(opt.get("s", 6))
     out = []
     for x in xs:
         params = {"X": x, "s": s}
@@ -115,10 +115,7 @@ def _grid_sweep(session: _Session, opt: Dict[str, str]) -> List[RunRecord]:
         params = {"X": x, "s": s, "tol": tol}
 
         def compute(x=x):
-            if s % 2 == 0:
-                est = torusgrid.even_moment_exact(x, s)
-            else:
-                est = torusgrid.moment_estimate(x, s, tol)
+            est = torusgrid.moment_estimate(x, s, tol)
             return repr(est.value), est.err_est, est.exact
 
         out.append(session.cached("moment_estimate", params, compute))
@@ -215,7 +212,7 @@ def _lemma22_identity(session: _Session, opt: Dict[str, str]) -> List[RunRecord]
 
 
 _HANDLERS: Dict[str, Callable[[_Session, Dict[str, str]], List[RunRecord]]] = {
-    "i6-sweep": lambda s, o: _count_sweep(s, o, 6),
+    "i6-sweep": _count_sweep,
     "count-sweep": _count_sweep,
     "vinogradov-sweep": _vinogradov_sweep,
     "grid-sweep": _grid_sweep,

@@ -16,7 +16,8 @@ Weights multiply exactly, so folding moves a mean only by FFT roundoff.
 
 For even s the integrand |g|^s is a trigonometric polynomial with alpha
 frequencies bounded by (s/2)X^3 and beta frequencies by (s/2)X, so the plain
-grid mean is the exact integral once the grid exceeds those band limits.
+grid mean is the exact integral once the grid exceeds those band limits;
+moment_estimate takes even s straight to that one grid.
 Odd moments (and minor-arc restrictions, whose masks break band-limitedness)
 are refined by doubling the grid until successive values stabilize; the
 reported error is the last doubling delta, a heuristic and labeled as such.
@@ -30,8 +31,6 @@ from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
-
-from .arcs import _totients
 
 RealLike = Union[int, float, str, Fraction]
 
@@ -61,17 +60,16 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class MomentEstimate:
-    """A quadrature result; exact=True only when the even-s band-limit
-    condition held on the final grid.  boundary_bound, present for
-    restricted moments, is the documented bound on arc-edge cell mass:
-    (#arcs) * (2Q/X^3) * max|g|^s / Malpha."""
+    """A quadrature result on the grid `spec`.  exact=True only for an even
+    moment on its band-limited grid, where err_est is 0; otherwise err_est
+    is the last doubling delta, a heuristic rather than a bound, and
+    converged says whether it came within tol before the memory guard."""
 
     value: float
     err_est: float
     exact: bool
     spec: GridSpec
     converged: bool = True
-    boundary_bound: Optional[float] = None
 
 
 def _pow2_at_least(n: int) -> int:
@@ -124,19 +122,6 @@ def _bucket_row(X: int, spec: GridSpec, j_beta: int) -> np.ndarray:
     return bucket
 
 
-def _pairwise_total(sums: Sequence[float]) -> float:
-    """Deterministic binary-tree reduction in index order."""
-    level = list(sums)
-    if not level:
-        return 0.0
-    while len(level) > 1:
-        nxt = [level[i] + level[i + 1] for i in range(0, len(level) - 1, 2)]
-        if len(level) % 2:
-            nxt.append(level[-1])
-        level = nxt
-    return level[0]
-
-
 def _amp_power(row: np.ndarray, s: int) -> np.ndarray:
     """row**s for row = |g| >= 0, by a squaring chain on row^2 (cheap numpy
     multiplies instead of per-element pow)."""
@@ -172,14 +157,14 @@ def _grid_means(X: int, s: int, spec: GridSpec,
                 keeps: Sequence[Optional[np.ndarray]]) -> List[float]:
     """Mean of |g|^s over the grid for each of `keeps`: the alpha indices of
     a mirror-symmetric mask, or None for all.  One row per orbit times its
-    size, with the half shift only if all are None; rows reduce pairwise in
-    beta order, so results are run-to-run identical for a given spec."""
+    size, with the half shift only if all are None; row sums are added with
+    math.fsum, so results are run-to-run identical for a given spec."""
     totals: List[List[float]] = [[] for _ in keeps]
     for j, weight in _row_orbits(spec, all(k is None for k in keeps)):
         vals = _amp_power(amplitude_row(X, spec, j), s)
         for t, keep in zip(totals, keeps):
             t.append(weight * float((vals if keep is None else vals[keep]).sum()))
-    return [_pairwise_total(t) / (spec.Malpha * spec.Mbeta) for t in totals]
+    return [math.fsum(t) / (spec.Malpha * spec.Mbeta) for t in totals]
 
 
 def even_moment_exact(X: int, s: int) -> MomentEstimate:
@@ -216,23 +201,20 @@ def _refine(X: int, s: int, cutoffs: Sequence[Optional[Fraction]], tol: float
         spec = GridSpec(spec.Malpha * 2, spec.Mbeta * 2, X)
 
 
-def _band_limited(spec: GridSpec, X: int, s: int) -> bool:
-    return (s % 2 == 0 and spec.Malpha >= (s // 2) * X ** 3 + 1
-            and spec.Mbeta >= (s // 2) * X + 1)
-
-
 def moment_estimate(X: int, s: int, tol: float) -> MomentEstimate:
-    """I_s(X) by doubling refinement; works for every integer s >= 1.
+    """I_s(X) for every integer s >= 1.
 
-    Even s converges at the first comparison (band-limited already at the
-    starting grid) and comes back flagged exact; odd s carries the last
-    doubling delta as its heuristic error."""
+    Even s is even_moment_exact: one band-limited grid, flagged exact, with
+    no refinement and tol unused.  Odd s is refined by doubling and carries
+    the last doubling delta as its heuristic error."""
     if s < 1:
         raise ValueError("s must be >= 1")
     if tol <= 0:
         raise ValueError("tol must be positive")
+    if s % 2 == 0:
+        return even_moment_exact(X, s)
     (value,), (err,), spec, converged = _refine(X, s, [None], tol)
-    return MomentEstimate(value, err, _band_limited(spec, X, s), spec, converged)
+    return MomentEstimate(value, err, False, spec, converged)
 
 
 def arc_mask(spec: GridSpec, Q: RealLike, X: int) -> np.ndarray:
@@ -262,11 +244,6 @@ def arc_mask(spec: GridSpec, Q: RealLike, X: int) -> np.ndarray:
     return minor
 
 
-def _arc_count(Q: RealLike) -> int:
-    phi = _totients(int(Fraction(Q)))
-    return sum(phi[1:])
-
-
 def restricted_moment(X: int, s: int, Q: RealLike, tol: float) -> MomentEstimate:
     """Minor-arc moment I_s^*(X; Q): the grid mean of |g|^s over alpha rows
     classified minor at (Q, X), doubling-refined.  1 <= Q <= X."""
@@ -290,7 +267,4 @@ def restricted_profile(X: int, s: int, Qs: Sequence[RealLike],
         if T < 1 or T > X:
             raise ValueError("each Q must lie in [1, X]")
     values, errs, spec, converged = _refine(X, s, fracs, tol)
-    return [MomentEstimate(v, e, False, spec, converged=converged,
-                           boundary_bound=_arc_count(T) * (2 * float(T) / X ** 3)
-                           * float(X) ** s / spec.Malpha)
-            for T, v, e in zip(fracs, values, errs)]
+    return [MomentEstimate(v, e, False, spec, converged) for v, e in zip(values, errs)]

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from wmvlab.bounds import (
+    HCount,
     bound_values,
     exponent_curves,
     k_bound_check,
@@ -20,21 +21,21 @@ from wmvlab.phase import FixedPhase
 
 
 def test_theta_quantity_plug_in():
-    assert theta_quantity(1, 0.0, 100, 6) == pytest.approx(1 + 1e-6 + 1e-12, rel=1e-15)
-    assert theta_quantity(7, 0.0, 100, 6) == pytest.approx(1 / 7 + 1e-6 + 7e-12, rel=1e-15)
+    assert theta_quantity(1, 100, 6) == pytest.approx(1 + 1e-6 + 1e-12, rel=1e-15)
+    assert theta_quantity(7, 100, 6) == pytest.approx(1 / 7 + 1e-6 + 7e-12, rel=1e-15)
     rng = random.Random(89)
     for _ in range(50):
         q, X = rng.randrange(1, 1000), rng.randrange(1, 500)
-        assert theta_quantity(q, 0.0, X, 6) >= X ** -3
+        assert theta_quantity(q, X, 6) >= X ** -3
 
 
 def test_theta_quantity_guards():
     with pytest.raises(ValueError):
-        theta_quantity(0, 0.0, 10, 6)
+        theta_quantity(0, 10, 6)
     with pytest.raises(ValueError):
-        theta_quantity(1, -1.0, 10, 6)
+        theta_quantity(1, 0, 6)
     with pytest.raises(ValueError):
-        theta_quantity(1, 0.0, 10, 5)
+        theta_quantity(1, 10, 5)
 
 
 def test_phi_quantity():
@@ -43,12 +44,14 @@ def test_phi_quantity():
             1 + X ** -3 + float(X) ** -k, rel=1e-15)
     # delta = 0 collapses phi to theta
     for q in (1, 3, 11):
-        assert phi_quantity(q, 0.0, 30, 6) == theta_quantity(q, 0.0, 30, 6)
+        assert phi_quantity(q, 0.0, 30, 6) == theta_quantity(q, 30, 6)
     # plug-in with a nonzero delta: L = q + X^k * delta
     q, delta, X, k = 7, 2.5e-10, 20, 6
     L = q + float(X) ** k * delta
     assert phi_quantity(q, delta, X, k) == pytest.approx(
         1 / L + X ** -3 + L / float(X) ** k, rel=1e-15)
+    with pytest.raises(ValueError):
+        phi_quantity(1, -1.0, 10, 6)
 
 
 def test_exponent_curves_spec_points():
@@ -128,6 +131,29 @@ def test_k_counts_mass_conservation():
             ms = [c.m for c in counts]
             assert ms == sorted(ms)
             assert all(0 <= m < X ** 3 for m in ms)
+
+
+def _k_counts_loop(alpha, k, X):
+    """The literal scalar loop: frac(h*alpha) stepped in exact 128-bit
+    integers, bucket index floor(frac * X^3 / 2^128)."""
+    buckets = {}
+    cur = 0
+    for _ in range(kappa(k) * X ** (k - 3)):
+        cur = (cur + alpha.frac) % (1 << 128)
+        m = (cur * X ** 3) >> 128
+        buckets[m] = buckets.get(m, 0) + 1
+    return [HCount(m, buckets[m]) for m in sorted(buckets)]
+
+
+def test_k_counts_match_the_scalar_loop():
+    rng = random.Random(101)
+    zero, half = FixedPhase(0), FixedPhase.from_rational(1, 2)
+    for X in range(1, 10):
+        for alpha in (FixedPhase(rng.getrandbits(128)), zero, half):
+            assert k_counts(alpha, 6, X) == _k_counts_loop(alpha, 6, X), X
+    # X^3 > 2^32: the bucket index carries across all three multiply-by-X steps
+    for alpha in (FixedPhase(rng.getrandbits(128)), FixedPhase.from_rational(2, 3), half):
+        assert k_counts(alpha, 4, 3000) == _k_counts_loop(alpha, 4, 3000)
 
 
 def test_k_counts_guard():

@@ -329,6 +329,29 @@ def test_reciprocal_sum_examples():
     assert reciprocal_sum_bound(FixedPhase.from_rational(1, 4), 2) == pytest.approx(32.0)
 
 
+def _reciprocal_sum_loop(alpha, X):
+    """The literal double loop over 1 <= u1, u2 <= 2X in exact 128-bit
+    integers, summed with math.fsum."""
+    terms = []
+    for u1 in range(1, 2 * X + 1):
+        for u2 in range(1, 2 * X + 1):
+            c = (6 * u1 * u2 * alpha.frac) % SCALE
+            d = min(c, SCALE - c)
+            terms.append(float(X) if d == 0 else min(float(X), SCALE / d))
+    return math.fsum(terms)
+
+
+def test_reciprocal_sum_matches_the_scalar_loop():
+    rng = random.Random(61)
+    # rational alphas put some or all of the distances at exactly 0
+    rationals = [FixedPhase(0), FixedPhase.from_rational(1, 2), FixedPhase.from_rational(1, 3),
+                 FixedPhase.from_rational(5, 12), FixedPhase.from_rational(3, 7)]
+    for X in (1, 2, 3, 7, 20, 40):
+        for alpha in rationals + [FixedPhase(rng.getrandbits(128)) for _ in range(3)]:
+            want = _reciprocal_sum_loop(alpha, X)
+            assert reciprocal_sum_bound(alpha, X) == pytest.approx(want, rel=1e-12, abs=0)
+
+
 def test_fourth_moment_majorized_by_reciprocal_sum():
     # empirical constant for the minimum-distance majorant; calibrated C = 64
     rng = random.Random(53)

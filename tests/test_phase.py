@@ -17,8 +17,6 @@ from wmvlab.phase import (
     eval_f,
     eval_g,
     fsum_carry,
-    kahan_add,
-    phase_frac,
     phase_limbs,
     unit,
     unit_terms,
@@ -81,14 +79,6 @@ def test_from_real_parses_exactly():
     assert FixedPhase.from_real("1.75").frac == 3 << 126
 
 
-def test_phase_frac_examples():
-    assert phase_frac(HALF, 27) == HALF
-    assert phase_frac(rand_phase(random.Random(1)), 0) == ZERO
-    third = FixedPhase.from_rational(1, 3)
-    f = phase_frac(third, 9).frac
-    assert min(f, SCALE - f) < 9
-
-
 def test_mul_int_cap():
     with pytest.raises(ValueError):
         HALF.mul_int(1 << 80)
@@ -133,13 +123,6 @@ def test_unit_against_mpmath():
             t = 2 * mpmath.pi * mpmath.mpf(f) / mpmath.mpf(SCALE)
             assert abs(c - float(mpmath.cos(t))) < 1e-15
             assert abs(s - float(mpmath.sin(t))) < 1e-15
-
-
-def test_kahan_add_compensates():
-    total = comp = 0.0
-    for _ in range(10 ** 5):
-        total, comp = kahan_add(total, comp, 0.1)
-    assert abs(total - 10 ** 4) < 1e-9
 
 
 def test_unit_terms_against_scalar_unit():

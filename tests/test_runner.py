@@ -49,6 +49,25 @@ def test_cache_lookup_leaves_an_empty_directory_empty(tmp_path):
     assert os.listdir(tmp_path) == []
 
 
+def test_records_without_a_manifest_are_refused_and_left_alone(tmp_path):
+    root = tmp_path / "orphaned"
+    params = {"X": 4, "s": 6}
+    ResultCache(str(root)).store(RunRecord("a" * 12, "moment_count", params, "999", None, 0.0, True))
+    (root / "manifest.json").unlink()
+    before = {name: (root / name).read_bytes() for name in os.listdir(root)}
+    with pytest.raises(CacheVersionMismatch, match="holds records but no manifest"):
+        ResultCache(str(root))
+    assert {name: (root / name).read_bytes() for name in os.listdir(root)} == before
+    assert cache_lookup("moment_count", params, str(root)) is None
+
+    # a directory with neither a manifest nor records is adopted and stamped
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    assert ResultCache(str(empty)).lookup("moment_count", params) is None
+    assert os.listdir(empty) == ["manifest.json"]
+    assert json.loads((empty / "manifest.json").read_text())["engine_version"] == ENGINE_VERSION
+
+
 def test_cache_key_is_order_insensitive():
     a = cache_key("moment_count", {"X": 5, "s": 2})
     b = cache_key("moment_count", {"s": 2, "X": 5})

@@ -146,6 +146,12 @@ def test_rows_per_grid_after_the_fold(monkeypatch):
         calls.clear()
         est = even_moment_exact(X, s)
         assert len(calls) == est.spec.Mbeta // 4 + 1, (X, s)
+        # even s in moment_estimate: that one band-limited grid, no refinement
+        calls.clear()
+        est = moment_estimate(X, s, 1e-6)
+        spec = auto_spec_even(X, s)
+        assert est.spec == spec and est.exact and est.err_est == 0.0
+        assert calls == [spec] * (spec.Mbeta // 4 + 1), (X, s)
     # refinement: Mbeta/4 + 1 rows per level unrestricted, Mbeta/2 + 1 masked
     for fold, run in ((4, lambda: moment_estimate(2, 3, 1e-4)),
                       (2, lambda: restricted_profile(8, 4, [2, 4], 1e-3)[0])):
@@ -272,7 +278,6 @@ def test_restricted_against_masked_direct_oracle():
         total += float((g ** 4).sum())
     oracle = total / (spec.Malpha * spec.Mbeta)
     assert est.value == pytest.approx(oracle, rel=1e-9)
-    assert est.boundary_bound is not None and est.boundary_bound > 0
     assert est.converged and not est.exact
 
 
@@ -283,13 +288,6 @@ def test_restricted_profile_guards():
         restricted_profile(8, 4, [0.5], 1e-3)
     with pytest.raises(ValueError):
         restricted_profile(8, 0, [2], 1e-3)
-
-
-def test_boundary_bound_formula():
-    from wmvlab.torusgrid import _arc_count
-    est = restricted_moment(6, 4, 3, 1e-3)
-    want = _arc_count(3) * (2 * 3.0 / 6 ** 3) * 6.0 ** 4 / est.spec.Malpha
-    assert est.boundary_bound == pytest.approx(want, rel=1e-12)
 
 
 def test_auto_spec_choices():
