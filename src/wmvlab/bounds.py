@@ -34,9 +34,11 @@ import numpy as np
 from .arcs import dirichlet_approx
 from .phase import FixedPhase, _blocks, eval_f, mul_limbs, split_limbs
 
-# cap on k_counts' multiples h of alpha: about 1 s at k = 6 (X = 21), 25 s
-# at k = 4 (X = 1,250,000), where almost every multiple fills its own bucket
+# caps on k_counts' multiples h of alpha (about 1.5 s at k = 6, X = 21) and
+# on the buckets it can return, min(H, X^3): at k = 4 almost every multiple
+# fills its own bucket, and 10^6 buckets took 2.4 s at 220 MiB peak RSS
 K_COUNTS_GUARD = 10 ** 7
+K_COUNTS_BUCKETS = 10 ** 6
 
 
 @dataclass(frozen=True)
@@ -152,7 +154,7 @@ def k_counts(alpha: FixedPhase, k: int, X: int) -> List[HCount]:
     index is floor(c * X^3 / 2^128), the carry out of three multiply-by-X
     limb steps.  Multiples run through the limb kernel in blocks of at most
     BLOCK_TERMS and are counted block by block.  Refuses more than
-    K_COUNTS_GUARD multiples.
+    K_COUNTS_GUARD multiples, or more than K_COUNTS_BUCKETS possible buckets.
     """
     if k < 4:
         raise ValueError("k must be >= 4")
@@ -161,8 +163,11 @@ def k_counts(alpha: FixedPhase, k: int, X: int) -> List[HCount]:
     H = kappa(k) * X ** (k - 3)
     if H > K_COUNTS_GUARD:
         raise ValueError(f"k_counts(k={k}, X={X}) steps through {H:,} multiples of "
-                         f"alpha, over the {K_COUNTS_GUARD:,} cap "
-                         f"(1 s at k = 6, 25 s at k = 4)")
+                         f"alpha, over the {K_COUNTS_GUARD:,} cap (1.5 s at k = 6)")
+    buckets = min(H, X ** 3)
+    if buckets > K_COUNTS_BUCKETS:
+        raise ValueError(f"k_counts(k={k}, X={X}) can fill {buckets:,} buckets, over "
+                         f"the {K_COUNTS_BUCKETS:,} cap (2.4 s and 220 MiB at k = 4)")
     # H <= 10^7 gives X < 2^32 and h < 2^32, as the limb multiply needs
     mag = np.uint64(X)
     indices, counts = [], []

@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Subcommands: count, grid, restricted, arcs, bounds, identity, fit, run.
-Common options: --out (CSV target), --cache-dir; `bounds compare` and
-`identity` also take --seed for their sampled angles.
+count, grid, restricted, `bounds compare`, identity and run take --out (CSV
+target) and --cache-dir; `bounds curves` takes --out alone.  `bounds
+compare` and `identity` also take --seed for their sampled angles.
 Exit status: 0 all good, 2 a check failed, 1 execution error.
 """
 
@@ -14,13 +15,11 @@ import sys
 from typing import List, Optional, Tuple
 
 from . import bounds as bounds_mod
-from . import counting, fitting, torusgrid
+from . import counting, fitting
 from .arcs import classify
 from .phase import SCALE, FixedPhase
-from .runcache import ResultCache, append_records
-from .runner import (_Session, _bounds_compare, _count_sweep, _grid_sweep,
-                     _lemma22_identity, _restricted_sweep, _vinogradov_sweep,
-                     run_plan)
+from .runcache import RunRecord, append_records
+from .runner import run_items, run_plan
 
 
 class _Parser(argparse.ArgumentParser):
@@ -47,52 +46,40 @@ def _common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--cache-dir", help="result cache directory")
 
 
-def _session(args) -> _Session:
-    return _Session(ResultCache(args.cache_dir) if args.cache_dir else None)
-
-
-def _emit(args, records) -> None:
-    if args.out and records:
+def _run_item(args, kind: str, **opt) -> Tuple[int, List[RunRecord]]:
+    """Run one plan item, appending its records to --out; returns
+    (failed identity checks, records)."""
+    failures, records = run_items([(kind, {k: str(v) for k, v in opt.items()})],
+                                  args.cache_dir)
+    if args.out:
         append_records(args.out, records)
+    return failures, records
 
 
 def _cmd_count(args) -> int:
-    session = _session(args)
-    opt = {"x": str(args.X), "s": str(args.s)}
-    if args.op == "vinogradov":
-        records = _vinogradov_sweep(session, opt)
-    elif args.op == "brute":
+    if args.op == "brute":
         value = counting.brute_force_moment(args.X, args.s)
         print(f"brute_force_moment(X={args.X}, s={args.s}) = {value}")
         return 0
-    else:
-        records = _count_sweep(session, opt)
-    for rec in records:
+    kind = "vinogradov-sweep" if args.op == "vinogradov" else "count-sweep"
+    for rec in _run_item(args, kind, x=args.X, s=args.s)[1]:
         print(f"{rec.op}(X={rec.params['X']}, s={rec.params['s']}) = {rec.value}")
-    _emit(args, records)
     return 0
 
 
 def _cmd_grid(args) -> int:
-    session = _session(args)
-    opt = {"x": str(args.X), "s": str(args.s), "tol": repr(args.tol)}
-    records = _grid_sweep(session, opt)
-    for rec in records:
+    for rec in _run_item(args, "grid-sweep", x=args.X, s=args.s, tol=args.tol)[1]:
         err = "" if rec.err_est is None else f" err_est={rec.err_est:.3g}"
         print(f"moment_estimate(X={rec.params['X']}, s={rec.params['s']}) = "
               f"{rec.value}{err} exact={rec.exact}")
-    _emit(args, records)
     return 0
 
 
 def _cmd_restricted(args) -> int:
-    session = _session(args)
-    opt = {"x": str(args.X), "s": str(args.s), "q": args.Q, "tol": repr(args.tol)}
-    records = _restricted_sweep(session, opt)
-    for rec in records:
+    for rec in _run_item(args, "restricted-sweep", x=args.X, s=args.s, q=args.Q,
+                         tol=args.tol)[1]:
         print(f"restricted_moment(X={rec.params['X']}, s={rec.params['s']}, "
               f"Q={rec.params['Q']}) = {rec.value} err_est={rec.err_est:.3g}")
-    _emit(args, records)
     return 0
 
 
@@ -113,13 +100,10 @@ def _cmd_bounds(args) -> int:
             print(f"classical = {cmp_.classical:.6g}")
             print(f"actual    = {cmp_.actual:.6g}  at a/q = {cmp_.a}/{cmp_.q}")
             return 0
-        session = _session(args)
-        opt = {"k": str(args.k), "x": str(args.X), "eps": repr(args.eps),
-               "trials": str(args.trials), "seed": str(args.seed)}
-        records = _bounds_compare(session, opt)
+        records = _run_item(args, "bounds-compare", k=args.k, x=args.X, eps=args.eps,
+                            trials=args.trials, seed=args.seed)[1]
         for rec in records:
             print(f"{rec.op} {rec.params.get('alpha', '')} value={rec.value}")
-        _emit(args, records)
         return 0
     # curves
     grid = _theta_grid(args.theta)
@@ -127,13 +111,12 @@ def _cmd_bounds(args) -> int:
     rows = [["theta", "exp_classical", "exp_hb", "exp_thm13"]]
     rows += [[repr(p.theta), repr(p.exp_classical), repr(p.exp_hb), repr(p.exp_thm13)]
              for p in profiles]
-    if args.out and args.out not in ("csv", "-"):
+    if args.out:
         with open(args.out, "w", newline="") as fh:
             csv.writer(fh).writerows(rows)
         print(f"wrote {len(rows) - 1} rows to {args.out}")
     else:
-        writer = csv.writer(sys.stdout)
-        writer.writerows(rows)
+        csv.writer(sys.stdout).writerows(rows)
     return 0
 
 
@@ -150,14 +133,12 @@ def _theta_grid(spec: str) -> List[float]:
 
 
 def _cmd_identity(args) -> int:
-    session = _session(args)
-    opt = {"x": str(args.X), "trials": str(args.trials), "seed": str(args.seed)}
-    records = _lemma22_identity(session, opt)
+    failures, records = _run_item(args, "lemma22-identity", x=args.X,
+                                  trials=args.trials, seed=args.seed)
     worst = max((r.err_est or 0.0) for r in records)
-    print(f"{len(records)} identity checks, {session.failures} failures, "
+    print(f"{len(records)} identity checks, {failures} failures, "
           f"worst relative deviation {worst:.3g}")
-    _emit(args, records)
-    return 2 if session.failures else 0
+    return 2 if failures else 0
 
 
 def _read_points(path: str) -> List[Tuple[float, float]]:
@@ -229,7 +210,6 @@ def build_parser() -> _Parser:
     pc.add_argument("--alpha", required=True)
     pc.add_argument("--Q", required=True)
     pc.add_argument("--X", type=int, required=True)
-    _common(pc)
     pc.set_defaults(fn=_cmd_arcs)
 
     p = subs.add_parser("bounds", help="Weyl-sum bound calculus")
@@ -247,7 +227,7 @@ def build_parser() -> _Parser:
     pb2 = b_subs.add_parser("curves")
     pb2.add_argument("--k", type=int, default=6)
     pb2.add_argument("--theta", default="0:3:0.05", help="grid lo:hi:step")
-    _common(pb2)
+    pb2.add_argument("--out", help="write the curves to this CSV file, not stdout")
     pb2.set_defaults(fn=_cmd_bounds)
 
     p = subs.add_parser("identity", help="two-sided fourth-moment identity checks")
@@ -264,7 +244,6 @@ def build_parser() -> _Parser:
         pf = f_subs.add_parser(name)
         pf.add_argument("--in", dest="infile", required=True,
                         help="CSV with X and value columns")
-        _common(pf)
         pf.set_defaults(fn=_cmd_fit)
 
     p = subs.add_parser("run", help="execute an experiment plan")

@@ -26,17 +26,21 @@ from .phase import (BLOCK_TERMS, FixedPhase, add_limbs, fold_half, fsum_carry,
 
 MULTISET_GUARD = 10 ** 8  # cap on sorted h-multisets per count (~10 s)
 IDENTITY_GUARD = 10 ** 8  # cap on u_identity_rhs terms, (2X^3 + X)/3 (X <= 531)
+RECIPROCAL_GUARD = 200_010_000  # cap on reciprocal_sum_bound terms, X(2X + 1) (X <= 10^4)
 _BATCH = 1 << 16  # about this many multisets per numpy call
 _INT64_MAX = int(np.iinfo(np.int64).max)
+# h!/d at index d <= h!, for h <= 6: multiset weights by a gather, not a division
+_ORDERINGS = [math.factorial(h) // np.maximum(np.arange(math.factorial(h) + 1), 1)
+              for h in range(7)]
 
 
 # -- slab-streamed counting ---------------------------------------------------
 
 def _multisets(X: int, h: int, n_lo: int, n_hi: int, square: bool):
-    """The sorted h-multisets x1 <= ... <= xh over [1, X] whose linear sum
-    lies in [n_lo, n_hi], a range that must meet [h, hX].  Returns their
-    linear, square (None unless `square`) and cube sums, and their weights
-    h!/prod(mult!), the number of ordered h-tuples each one stands for."""
+    """The sorted h-multisets x1 <= ... <= xh over [1, X], h <= 6, whose
+    linear sum lies in [n_lo, n_hi], a range that must meet [h, hX].  Returns
+    their linear, square (None unless `square`) and cube sums, and their
+    weights h!/prod(mult!), the number of ordered h-tuples each one stands for."""
     # one coordinate placed per pass; every partial kept extends to at least
     # one full multiset, so nothing is enumerated twice or in vain
     v = np.arange(max(1, n_lo - (h - 1) * X), min(X, n_hi // h) + 1, dtype=np.int64)
@@ -59,7 +63,7 @@ def _multisets(X: int, h: int, n_lo: int, n_hi: int, square: bool):
             sq = sq[parent] + v * v
         cube = cube[parent] + v * v * v
         last = v
-    return lin, sq, cube, math.factorial(h) // denom
+    return lin, sq, cube, _ORDERINGS[h][denom]
 
 
 def _shared_key_count(X: int, a: int, b: int, square: bool) -> int:
@@ -272,9 +276,13 @@ def reciprocal_sum_bound(alpha: FixedPhase, X: int) -> float:
     Each phase 6 u1 u2 alpha mod 2^128 comes from the limb kernel and is
     folded to its distance by `fold_half`.  The pairs u1 < u2 stand for
     their mirror images with weight 2, and the terms are summed with
-    math.fsum."""
-    if not 1 <= X <= 10 ** 4:
-        raise ValueError("X must be in [1, 10^4]")
+    math.fsum.  Refuses more than RECIPROCAL_GUARD terms."""
+    if X < 1:
+        raise ValueError("X must be positive")
+    terms = X * (2 * X + 1)
+    if terms > RECIPROCAL_GUARD:
+        raise ValueError(f"reciprocal_sum_bound(X={X}) sums {terms:,} terms, over the "
+                         f"{RECIPROCAL_GUARD:,} cap (X <= 10^4)")
     xf = float(X)
     u = np.arange(1, 2 * X + 1, dtype=np.int64)
     total = []

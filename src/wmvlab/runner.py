@@ -33,12 +33,15 @@ from .runcache import ResultCache, RunRecord, append_records, new_run_id
 
 IDENTITY_REL_TOL = 1e-8
 
+Item = Tuple[str, Dict[str, str]]  # (kind, options) of one plan section
+Result = Tuple[str, Optional[float], Optional[bool]]  # (value, err_est, exact)
+
 
 class PlanError(ValueError):
     """Malformed config or unknown experiment name."""
 
 
-def load_plan(path: str) -> List[Tuple[str, Dict[str, str]]]:
+def load_plan(path: str) -> List[Item]:
     parser = configparser.ConfigParser()
     read = parser.read(path)
     if not read:
@@ -61,92 +64,76 @@ def _parse_int_list(text: str, step: Optional[str] = None) -> List[int]:
 
 
 class _Session:
-    """One run of a plan: shared cache handle and failure counter."""
+    """One run of plan items: shared cache handle and failure counter."""
 
     def __init__(self, cache: Optional[ResultCache]):
         self.cache = cache
         self.failures = 0
 
-    def cached(self, op: str, params: Dict[str, object],
-               compute: Callable[[], Tuple[str, Optional[float], Optional[bool]]]) -> RunRecord:
+    def cached(self, keys: Sequence[Tuple[str, Dict[str, object]]],
+               compute: Callable[[], Sequence[Result]]) -> List[RunRecord]:
+        """Records for a group of (op, params) keys computed together.
+
+        Replays the group, with fresh run ids, only when every key hits, so
+        no record mixes with values of another run.  Otherwise compute()
+        runs once, returns one (value, err_est, exact) per key, and its wall
+        time is split evenly over the records it stores.  Every key is looked
+        up, so a corrupt file raises CacheCorruption either way.
+        """
+        if not keys:  # an item with an empty list, such as `q =`
+            return []
         if self.cache is not None:
-            hit = self.cache.lookup(op, params)
-            if hit is not None:
-                return replace(hit, run_id=new_run_id())
+            hits = [self.cache.lookup(op, params) for op, params in keys]
+            if all(hit is not None for hit in hits):
+                return [replace(hit, run_id=new_run_id()) for hit in hits]
         t0 = time.perf_counter()
-        value, err_est, exact = compute()
-        wall = time.perf_counter() - t0
-        rec = RunRecord(new_run_id(), op, params, value, err_est, wall, exact)
+        results = compute()
+        wall = (time.perf_counter() - t0) / len(keys)
+        records = [RunRecord(new_run_id(), op, params, value, err_est, wall, exact)
+                   for (op, params), (value, err_est, exact) in zip(keys, results)]
         if self.cache is not None:
-            self.cache.store(rec)
-        return rec
+            for rec in records:
+                self.cache.store(rec)
+        return records
 
 
-def _count_sweep(session: _Session, opt: Dict[str, str]) -> List[RunRecord]:
-    xs = _parse_int_list(opt["x"], opt.get("step"))
-    s = int(opt.get("s", 6))
-    out = []
-    for x in xs:
-        params = {"X": x, "s": s}
-        out.append(session.cached(
-            "moment_count", params,
-            lambda x=x: (str(counting.moment_count(x, s)), None, True)))
-    return out
+Handler = Callable[[_Session, Dict[str, str]], List[RunRecord]]
 
 
-def _vinogradov_sweep(session: _Session, opt: Dict[str, str]) -> List[RunRecord]:
-    xs = _parse_int_list(opt["x"], opt.get("step"))
-    s = int(opt.get("s", 6))
-    out = []
-    for x in xs:
-        params = {"X": x, "s": s}
-        out.append(session.cached(
-            "vinogradov_count", params,
-            lambda x=x: (str(counting.vinogradov_count(x, s)), None, True)))
-    return out
+def _x_sweep(op: str, evaluate: Callable[..., Result], tol: bool = False) -> Handler:
+    """A handler that makes one `op` record per X of the item's x list, from
+    evaluate(X, s) (or evaluate(X, s, tol) when `tol`)."""
+
+    def sweep(session: _Session, opt: Dict[str, str]) -> List[RunRecord]:
+        args: Dict[str, object] = {"s": int(opt.get("s", 6))}
+        if tol:
+            args["tol"] = float(opt.get("tol", "1e-6"))
+        out = []
+        for x in _parse_int_list(opt["x"], opt.get("step")):
+            params = {"X": x, **args}
+            out += session.cached([(op, params)], lambda: [evaluate(**params)])
+        return out
+
+    return sweep
 
 
-def _grid_sweep(session: _Session, opt: Dict[str, str]) -> List[RunRecord]:
-    xs = _parse_int_list(opt["x"], opt.get("step"))
-    s = int(opt.get("s", 6))
-    tol = float(opt.get("tol", "1e-6"))
-    out = []
-    for x in xs:
-        params = {"X": x, "s": s, "tol": tol}
-
-        def compute(x=x):
-            est = torusgrid.moment_estimate(x, s, tol)
-            return repr(est.value), est.err_est, est.exact
-
-        out.append(session.cached("moment_estimate", params, compute))
-    return out
+def _estimate(X: int, s: int, tol: float) -> Result:
+    est = torusgrid.moment_estimate(X, s, tol)
+    return repr(est.value), est.err_est, est.exact
 
 
 def _restricted_sweep(session: _Session, opt: Dict[str, str]) -> List[RunRecord]:
+    # restricted_profile refines every cutoff onto one shared final grid, so
+    # a value belongs to its whole cutoff list, and the list is in its key
     x = int(opt["x"])
     s = int(opt.get("s", 12))
     tol = float(opt.get("tol", "1e-3"))
     qs = _parse_int_list(opt["q"], opt.get("step"))
-    params_for = {q: {"X": x, "s": s, "Q": q, "tol": tol} for q in qs}
-    hits: Dict[int, RunRecord] = {}
-    missing: List[int] = []
-    for q in qs:
-        rec = session.cache.lookup("restricted_moment", params_for[q]) if session.cache else None
-        if rec is None:
-            missing.append(q)
-        else:
-            hits[q] = replace(rec, run_id=new_run_id())
-    if missing:
-        t0 = time.perf_counter()
-        ests = torusgrid.restricted_profile(x, s, missing, tol)
-        wall = (time.perf_counter() - t0) / len(missing)
-        for q, est in zip(missing, ests):
-            rec = RunRecord(new_run_id(), "restricted_moment", params_for[q],
-                            repr(est.value), est.err_est, wall, est.exact)
-            if session.cache is not None:
-                session.cache.store(rec)
-            hits[q] = rec
-    return [hits[q] for q in qs]
+    keys = [("restricted_moment", {"X": x, "s": s, "Q": q, "tol": tol, "cutoffs": qs})
+            for q in qs]
+    return session.cached(keys, lambda: [
+        (repr(est.value), est.err_est, est.exact)
+        for est in torusgrid.restricted_profile(x, s, qs, tol)])
 
 
 def _bounds_compare(session: _Session, opt: Dict[str, str]) -> List[RunRecord]:
@@ -156,35 +143,17 @@ def _bounds_compare(session: _Session, opt: Dict[str, str]) -> List[RunRecord]:
     trials = int(opt.get("trials", 20))
     seed = int(opt.get("seed", 0))
     rng = random.Random(seed)
-    out = []
-    ratios: Dict[int, float] = {}  # actual/thm13 of the trials computed here
-    for i in range(trials):
-        alpha_hex = format(rng.getrandbits(128), "#034x")
-        params = {"k": k, "X": x, "eps": eps, "alpha": alpha_hex}
+    alphas = [format(rng.getrandbits(128), "#034x") for _ in range(trials)]
+    keys = [("bound_values", {"k": k, "X": x, "eps": eps, "alpha": a}) for a in alphas]
+    keys.append(("bound_calibration",
+                 {"k": k, "X": x, "eps": eps, "trials": trials, "seed": seed}))
 
-        def compute(i=i, alpha_hex=alpha_hex):
-            cmp_ = bounds.bound_values(FixedPhase(int(alpha_hex, 16)), x, k, eps)
-            ratios[i] = cmp_.actual / cmp_.thm13
-            return repr(cmp_.actual), None, None
+    def compute() -> List[Result]:
+        cmps = [bounds.bound_values(FixedPhase(int(a, 16)), x, k, eps) for a in alphas]
+        worst = max([0.0] + [c.actual / c.thm13 for c in cmps])
+        return [(repr(c.actual), None, None) for c in cmps] + [(repr(worst), None, None)]
 
-        out.append(session.cached("bound_values", params, compute))
-
-    def calibrate():
-        # only trials replayed from the cache need their ratio recomputed
-        worst = max([0.0] + [ratios[i] if i in ratios else _bound_ratio(rec, x, k, eps)
-                             for i, rec in enumerate(out)])
-        return repr(worst), None, None
-
-    out.append(session.cached(
-        "bound_calibration", {"k": k, "X": x, "eps": eps, "trials": trials, "seed": seed},
-        calibrate))
-    return out
-
-
-def _bound_ratio(rec: RunRecord, x: int, k: int, eps: float) -> float:
-    alpha = FixedPhase(int(rec.params["alpha"], 16))
-    cmp_ = bounds.bound_values(alpha, x, k, eps)
-    return cmp_.actual / cmp_.thm13
+    return session.cached(keys, compute)
 
 
 def _lemma22_identity(session: _Session, opt: Dict[str, str]) -> List[RunRecord]:
@@ -195,31 +164,52 @@ def _lemma22_identity(session: _Session, opt: Dict[str, str]) -> List[RunRecord]
     out = []
     for i in range(trials):
         alpha_hex = format(rng.getrandbits(128), "#034x")
-        params = {"X": x, "trial": i, "seed": seed, "alpha": alpha_hex}
 
-        def compute(alpha_hex=alpha_hex):
+        def compute() -> List[Result]:
             alpha = FixedPhase(int(alpha_hex, 16))
             lhs = counting.beta_fourth_moment(alpha, x)
             rhs = counting.u_identity_rhs(alpha, x)
-            rel = abs(lhs - rhs) / max(abs(lhs), 1e-300)
-            return repr(lhs), rel, None
+            return [(repr(lhs), abs(lhs - rhs) / max(abs(lhs), 1e-300), None)]
 
-        rec = session.cached("lemma22_check", params, compute)
-        if rec.err_est is None or rec.err_est > IDENTITY_REL_TOL:
-            session.failures += 1
-        out.append(rec)
+        params = {"X": x, "trial": i, "seed": seed, "alpha": alpha_hex}
+        out += session.cached([("lemma22_check", params)], compute)
+    session.failures += sum(rec.err_est is None or rec.err_est > IDENTITY_REL_TOL
+                            for rec in out)
     return out
 
 
-_HANDLERS: Dict[str, Callable[[_Session, Dict[str, str]], List[RunRecord]]] = {
-    "i6-sweep": _count_sweep,
-    "count-sweep": _count_sweep,
-    "vinogradov-sweep": _vinogradov_sweep,
-    "grid-sweep": _grid_sweep,
+_moment_counts = _x_sweep("moment_count", lambda X, s: (
+    str(counting.moment_count(X, s)), None, True))
+_HANDLERS: Dict[str, Handler] = {
+    "i6-sweep": _moment_counts,
+    "count-sweep": _moment_counts,
+    "vinogradov-sweep": _x_sweep("vinogradov_count", lambda X, s: (
+        str(counting.vinogradov_count(X, s)), None, True)),
+    "grid-sweep": _x_sweep("moment_estimate", _estimate, tol=True),
     "restricted-sweep": _restricted_sweep,
     "bounds-compare": _bounds_compare,
     "lemma22-identity": _lemma22_identity,
 }
+
+
+def run_items(items: Sequence[Item],
+              cache_dir: Optional[str] = None) -> Tuple[int, List[RunRecord]]:
+    """Run plan items in order, through the result cache in `cache_dir` if
+    given; returns (failed identity checks, records).
+
+    Every kind is checked before anything runs: an unknown one raises
+    PlanError.  Each item's records are one cache group per X for the
+    sweeps, per trial for lemma22-identity, and one group for a whole
+    restricted-sweep or bounds-compare item.
+    """
+    for kind, _ in items:
+        if kind not in _HANDLERS:
+            raise PlanError(f"unknown experiment name: {kind}")
+    session = _Session(ResultCache(cache_dir) if cache_dir else None)
+    records: List[RunRecord] = []
+    for kind, opt in items:
+        records.extend(_HANDLERS[kind](session, opt))
+    return session.failures, records
 
 
 def run_plan(config_path: str, out: Optional[str] = None,
@@ -231,14 +221,7 @@ def run_plan(config_path: str, out: Optional[str] = None,
     any exception into status 1).  Records are appended to the CSV at `out`
     through a single writer, in plan order.
     """
-    plan = load_plan(config_path)
-    for kind, _ in plan:
-        if kind not in _HANDLERS:
-            raise PlanError(f"unknown experiment name: {kind}")
-    session = _Session(ResultCache(cache_dir) if cache_dir else None)
-    records: List[RunRecord] = []
-    for kind, opt in plan:
-        records.extend(_HANDLERS[kind](session, opt))
+    failures, records = run_items(load_plan(config_path), cache_dir)
     if out:
         append_records(out, records)
-    return (2 if session.failures else 0), records
+    return (2 if failures else 0), records

@@ -167,6 +167,16 @@ def test_k_counts_guard_at_ten_million():
         k_counts(FixedPhase(0), 6, 22)
 
 
+def test_k_counts_bucket_guard():
+    # min(H, X^3) buckets: 8X at k = 4 and 80 X^2 at k = 5 (X >= 80), each
+    # under the multiples cap here
+    with pytest.raises(ValueError, match="1,000,008 buckets, over the 1,000,000 cap"):
+        k_counts(FixedPhase(0), 4, 125_001)
+    with pytest.raises(ValueError, match="1,003,520 buckets"):
+        k_counts(FixedPhase(0), 5, 112)
+    assert sum(c.K for c in k_counts(FixedPhase(0), 4, 125_000)) == 10 ** 6
+
+
 def test_k_bound_check_properties():
     golden = FixedPhase.from_real(Fraction(math.isqrt(5 * 10 ** 72), 10 ** 36) - 1)
     r = k_bound_check(golden, 6, 8)

@@ -177,6 +177,15 @@ def test_usage_errors_exit_1(capsys):
     assert run_cli("count") == 1  # --X is required
     assert run_cli("grid", "--X", "not-a-number") == 1
     assert run_cli("count", "--X", "5", "--seed", "1") == 1  # only sampling commands take --seed
+    # arcs, fit and `bounds curves` write no records and reuse no cache
+    assert run_cli("arcs", "classify", "--alpha", "1/3", "--Q", "5", "--X", "10",
+                   "--out", "x.csv") == 1
+    assert run_cli("arcs", "classify", "--alpha", "1/3", "--Q", "5", "--X", "10",
+                   "--cache-dir", "c") == 1
+    for name in ("powerlaw", "segre"):
+        assert run_cli("fit", name, "--in", "x.csv", "--out", "y.csv") == 1
+        assert run_cli("fit", name, "--in", "x.csv", "--cache-dir", "c") == 1
+    assert run_cli("bounds", "curves", "--cache-dir", "c") == 1
     capsys.readouterr()
 
 

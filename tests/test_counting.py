@@ -280,7 +280,7 @@ def test_size_guards_on_identity_ops():
         beta_fourth_moment(FixedPhase(0), 3001)
     with pytest.raises(ValueError):
         u_identity_rhs(FixedPhase(0), 3001)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"200,050,003 terms, over the 200,010,000 cap"):
         reciprocal_sum_bound(FixedPhase(0), 10 ** 4 + 1)
 
 

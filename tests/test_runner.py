@@ -271,8 +271,8 @@ def test_warm_bounds_plan_does_not_recompute_its_calibration(tmp_path, monkeypat
               for p in (cold, warm)]
     assert stable[0] == stable[1]
 
-    # a fifth trial: its record is computed once, and the new calibration
-    # recomputes the ratios of the four trials replayed from the cache
+    # five trials are a new group: its calibration key misses, so the whole
+    # group is computed, one bound_values call per trial
     calls.clear()
     _, records = run_plan(_plan(tmp_path, text.format(5), "five.ini"), cache_dir=cache_dir)
     assert len(calls) == 5
@@ -358,15 +358,45 @@ def test_identity_failure_flips_exit_status(tmp_path, monkeypatch):
     assert len(records) == 2
 
 
-def test_restricted_sweep_reuses_cached_cutoffs(tmp_path):
+def test_restricted_values_do_not_depend_on_an_earlier_plan(tmp_path):
+    # restricted_profile refines every cutoff onto one shared final grid, so
+    # the Q = 2 value of q = 2,4 differs from that of q = 2,4,8 and must not
+    # be replayed for it
     cache_dir = str(tmp_path / "cache")
-    path1 = _plan(tmp_path, "[restricted-sweep]\nx = 8\ns = 4\nq = 2,4\n", "a.ini")
-    _, first = run_plan(path1, cache_dir=cache_dir)
-
-    path2 = _plan(tmp_path, "[restricted-sweep]\nx = 8\ns = 4\nq = 2,4,8\n", "b.ini")
-    _, second = run_plan(path2, cache_dir=cache_dir)
-    assert [r.value for r in second[:2]] == [r.value for r in first]
-    assert second[2].params["Q"] == 8
-    # profile values stay monotone when served from a mixed cache
-    vals = [float(r.value) for r in second]
+    run_plan(_plan(tmp_path, "[restricted-sweep]\nx = 8\ns = 4\nq = 2,4\n", "a.ini"),
+             cache_dir=cache_dir)
+    path = _plan(tmp_path, "[restricted-sweep]\nx = 8\ns = 4\nq = 2,4,8\n", "b.ini")
+    _, warm = run_plan(path, cache_dir=cache_dir)
+    _, uncached = run_plan(path)
+    assert [r.params["Q"] for r in warm] == [2, 4, 8]
+    assert [r.value for r in warm] == [r.value for r in uncached]
+    vals = [float(r.value) for r in warm]
     assert vals == sorted(vals, reverse=True)
+
+
+def test_bounds_item_missing_one_record_recomputes_as_a_group(tmp_path, monkeypatch):
+    calls = []
+    inner = bounds.bound_values
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(bounds, "bound_values", counted)
+    path = _plan(tmp_path, "[bounds-compare]\nx = 64\ntrials = 3\nseed = 4\n")
+    cache_dir = tmp_path / "cache"
+    first, again = tmp_path / "first.csv", tmp_path / "again.csv"
+    _, records = run_plan(path, out=str(first), cache_dir=str(cache_dir))
+    assert len({r.wall_seconds for r in records}) == 1  # the group's time, split evenly
+
+    (cache_dir / (cache_key(records[1].op, records[1].params) + ".json")).unlink()
+    calls.clear()
+    run_plan(path, out=str(again), cache_dir=str(cache_dir))
+    assert len(calls) == 3
+    vol = (CSV_HEADER.index("run_id"), CSV_HEADER.index("wall_seconds"))
+    stable = [[[c for i, c in enumerate(r) if i not in vol] for r in _csv_rows(p)]
+              for p in (first, again)]
+    assert stable[0] == stable[1]
+    calls.clear()
+    run_plan(path, cache_dir=str(cache_dir))
+    assert calls == []
