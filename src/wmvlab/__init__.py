@@ -17,7 +17,7 @@ from .counting import (beta_fourth_moment, brute_force_moment, moment_count,
 from .fitting import FitResult, fit_powerlaw, fit_segre
 from .phase import FixedPhase, eval_f, eval_g, unit
 from .runcache import (CacheCorruption, CacheVersionMismatch, ResultCache,
-                       RunRecord, append_records, cache_lookup)
+                       RunRecord, append_records)
 from .runner import run_plan
 from .torusgrid import (GridSpec, MomentEstimate, amplitude_row, arc_mask,
                         even_moment_exact, moment_estimate, restricted_moment,

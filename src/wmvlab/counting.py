@@ -24,7 +24,7 @@ import numpy as np
 from .phase import (BLOCK_TERMS, FixedPhase, add_limbs, fold_half, fsum_carry,
                     phase_limbs, unit_terms)
 
-MULTISET_GUARD = 10 ** 8  # cap on sorted h-multisets per count (~10 s)
+MULTISET_GUARD = 10 ** 8  # cap on sorted h-multisets per count (9 s at h = 3, 16 s at h = 6)
 IDENTITY_GUARD = 10 ** 8  # cap on u_identity_rhs terms, (2X^3 + X)/3 (X <= 531)
 RECIPROCAL_GUARD = 200_010_000  # cap on reciprocal_sum_bound terms, X(2X + 1) (X <= 10^4)
 _BATCH = 1 << 16  # about this many multisets per numpy call
@@ -134,10 +134,11 @@ def _shared_key_count(X: int, a: int, b: int, square: bool) -> int:
 
 def moment_count(X: int, s: int, workers: int = 1) -> int:
     """Exact s-th even moment of |g| over the torus: number of s-tuples with
-    balanced linear and cube sums.  s in {2, 4, 6}."""
+    balanced linear and cube sums.  s in {2, 4, ..., 12}; MULTISET_GUARD
+    caps X at 842, 219, 101 and 62 for s = 6, 8, 10 and 12."""
     # `workers` is unused; perfbench/selftest.py still passes it positionally
-    if s not in (2, 4, 6):
-        raise ValueError("s must be 2, 4, or 6 (torusgrid covers other moments)")
+    if s not in (2, 4, 6, 8, 10, 12):
+        raise ValueError("s must be 2, 4, 6, 8, 10 or 12")
     return _shared_key_count(X, s // 2, s // 2, square=False)
 
 

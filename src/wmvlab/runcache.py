@@ -1,13 +1,14 @@
 """Run records, the on-disk result cache, and CSV emission.
 
-Cache layout: one JSON file per record under the cache directory, named by
-the sha256 of the canonical (op, params) serialization; each file embeds a
-checksum of its own payload so corruption is detected, never silently
-swallowed.  A manifest records the digest algorithm and the engine version
-whose results the directory holds; a directory from another engine version
-is refused, because its floats may differ in the last bits from what this
-engine computes, and so is one that holds records but no manifest.  Writes
-go through a temp file and an atomic rename.
+Cache layout: one JSON file per group of records computed together, named
+by the sha256 of the group's canonical (op, params) key list; each file
+embeds a checksum of its own payload and its keys are checked on lookup, so
+corruption is detected, never silently swallowed.  A manifest records the
+digest algorithm and the engine version whose results the directory holds;
+a directory from another engine version is refused, because its floats may
+differ in the last bits from what this engine computes, and so is one that
+holds records but no manifest.  The first store makes the directory and the
+manifest.  Writes go through a temp file and an atomic rename.
 """
 
 from __future__ import annotations
@@ -17,8 +18,8 @@ import hashlib
 import json
 import os
 import uuid
-from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence
+from dataclasses import asdict, dataclass
+from typing import Dict, List, Optional, Sequence, Tuple
 
 CSV_HEADER = ["run_id", "op", "X", "s", "Q", "k", "alpha",
               "value", "err_est", "exact", "wall_seconds"]
@@ -29,14 +30,19 @@ CSV_HEADER = ["run_id", "op", "X", "s", "Q", "k", "alpha",
 #    (stored bound_values and lemma22_check floats can move in the last bits).
 # 4: grid row sums are added with math.fsum instead of a pairwise tree (grid
 #    and restricted floats can move in the last bits).
-ENGINE_VERSION = 4
+# 5: the cache layout changed to one file per record group; no engine value
+#    changed, but version-4 directories hold one file per record.
+ENGINE_VERSION = 5
 
 _MANIFEST = {"digest_algorithm": "sha256", "engine_version": ENGINE_VERSION,
-             "layout": "one-record-per-file", "version": 1}
+             "layout": "one-group-per-file", "version": 1}
+
+Key = Tuple[str, Dict[str, object]]  # (op, params) of one record
 
 
 class CacheCorruption(RuntimeError):
-    """A cache file failed its checksum; reported, never ignored."""
+    """A cache file failed its checksum or holds another group's records;
+    reported, never ignored."""
 
 
 class CacheVersionMismatch(RuntimeError):
@@ -61,14 +67,14 @@ def new_run_id() -> str:
     return uuid.uuid4().hex[:12]
 
 
-def cache_key(op: str, params: Dict[str, object]) -> str:
-    canon = json.dumps({"op": op, "params": params},
-                       sort_keys=True, separators=(",", ":"))
+def _digest(obj: object) -> str:
+    canon = json.dumps(obj, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canon.encode()).hexdigest()
 
 
-def _record_path(root: str, op: str, params: Dict[str, object]) -> str:
-    return os.path.join(root, cache_key(op, params) + ".json")
+def cache_key(keys: Sequence[Key]) -> str:
+    """A group's file name: the digest of its (op, params) keys in order."""
+    return _digest([[op, params] for op, params in keys])
 
 
 def _atomic_write(path: str, data: str) -> None:
@@ -78,84 +84,66 @@ def _atomic_write(path: str, data: str) -> None:
     os.replace(tmp, path)
 
 
-def _check_version(root: str) -> bool:
-    """Whether root has a manifest; raises CacheVersionMismatch when that
-    manifest names another engine version or none."""
-    manifest = os.path.join(root, "manifest.json")
-    if not os.path.exists(manifest):
-        return False
-    with open(manifest) as fh:
-        found = json.load(fh).get("engine_version", "missing")
-    if found != ENGINE_VERSION:
-        raise CacheVersionMismatch(
-            f"cache directory {root} holds results of engine version {found}, "
-            f"not the current {ENGINE_VERSION}; use a fresh --cache-dir")
-    return True
-
-
-def _read_record(path: str) -> Optional[RunRecord]:
-    if not os.path.exists(path):
-        return None
-    with open(path) as fh:
-        try:
-            blob = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise CacheCorruption(f"unreadable cache file {path}: {exc}") from exc
-    payload = blob.get("payload")
-    checksum = blob.get("checksum")
-    if payload is None or checksum is None:
-        raise CacheCorruption(f"cache file {path} missing payload or checksum")
-    canon = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    if hashlib.sha256(canon.encode()).hexdigest() != checksum:
-        raise CacheCorruption(f"checksum mismatch in cache file {path}")
-    return RunRecord(
-        run_id=payload["run_id"], op=payload["op"], params=payload["params"],
-        value=payload["value"], err_est=payload["err_est"],
-        wall_seconds=payload["wall_seconds"], exact=payload.get("exact"))
-
-
 class ResultCache:
-    """The cache in directory `root`, made if missing.  A directory with no
-    manifest is stamped with the current one only if it holds no records;
-    with records it raises CacheVersionMismatch and is left untouched."""
+    """The cache in directory `root`.  Constructing one writes nothing, so
+    ResultCache(root).lookup(keys) only reads.  A directory whose manifest
+    names another engine version or none, or one that holds records but no
+    manifest, raises CacheVersionMismatch and is left untouched."""
 
     def __init__(self, root: str):
         self.root = root
-        os.makedirs(root, exist_ok=True)
-        if not _check_version(root):
-            if any(name.endswith(".json") for name in os.listdir(root)):
+        manifest = os.path.join(root, "manifest.json")
+        self._stamped = os.path.exists(manifest)
+        if self._stamped:
+            with open(manifest) as fh:
+                found = json.load(fh).get("engine_version", "missing")
+            if found != ENGINE_VERSION:
                 raise CacheVersionMismatch(
-                    f"cache directory {root} holds records but no manifest, so "
-                    f"their engine version is unknown; use a fresh --cache-dir")
-            _atomic_write(os.path.join(root, "manifest.json"),
+                    f"cache directory {root} holds results of engine version {found}, "
+                    f"not the current {ENGINE_VERSION}; use a fresh --cache-dir")
+        elif os.path.isdir(root) and any(n.endswith(".json") for n in os.listdir(root)):
+            raise CacheVersionMismatch(
+                f"cache directory {root} holds records but no manifest, so "
+                f"their engine version is unknown; use a fresh --cache-dir")
+
+    def lookup(self, keys: Sequence[Key]) -> Optional[List[RunRecord]]:
+        """The stored group with exactly these (op, params) keys, in key
+        order, else None.  Raises CacheCorruption on an unreadable file, a
+        checksum mismatch, or stored keys other than the requested ones."""
+        digest = cache_key(keys)
+        path = os.path.join(self.root, digest + ".json")
+        try:
+            with open(path) as fh:
+                blob = json.load(fh)
+        except FileNotFoundError:
+            return None
+        except json.JSONDecodeError as exc:
+            raise CacheCorruption(f"unreadable cache file {path}: {exc}") from exc
+        payload = blob.get("payload")
+        checksum = blob.get("checksum")
+        if payload is None or checksum is None:
+            raise CacheCorruption(f"cache file {path} missing payload or checksum")
+        if _digest(payload) != checksum:
+            raise CacheCorruption(f"checksum mismatch in cache file {path}")
+        try:
+            records = [RunRecord(**rec) for rec in payload]
+        except TypeError as exc:
+            raise CacheCorruption(f"malformed record in cache file {path}: {exc}") from exc
+        if cache_key([(rec.op, rec.params) for rec in records]) != digest:
+            raise CacheCorruption(f"cache file {path} holds another group's records")
+        return records
+
+    def store(self, records: Sequence[RunRecord]) -> None:
+        """Write one group as one file; the first store stamps the manifest."""
+        if not self._stamped:
+            os.makedirs(self.root, exist_ok=True)
+            _atomic_write(os.path.join(self.root, "manifest.json"),
                           json.dumps(_MANIFEST, indent=2) + "\n")
-
-    def lookup(self, op: str, params: Dict[str, object]) -> Optional[RunRecord]:
-        """The stored record for exactly these (op, canonical params), else
-        None.  Raises CacheCorruption on checksum mismatch."""
-        return _read_record(_record_path(self.root, op, params))
-
-    def store(self, record: RunRecord) -> None:
-        payload = {
-            "run_id": record.run_id, "op": record.op, "params": record.params,
-            "value": record.value, "err_est": record.err_est,
-            "wall_seconds": record.wall_seconds, "exact": record.exact,
-        }
-        canon = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-        blob = {"payload": payload,
-                "checksum": hashlib.sha256(canon.encode()).hexdigest()}
-        _atomic_write(_record_path(self.root, record.op, record.params),
-                      json.dumps(blob, sort_keys=True))
-
-
-def cache_lookup(op: str, params: Dict[str, object],
-                 cache_dir: str) -> Optional[RunRecord]:
-    """ResultCache.lookup for a directory path, without writing to it: a
-    directory with no manifest holds no records and is left as it is, and
-    one from another engine version raises CacheVersionMismatch."""
-    if not os.path.isdir(cache_dir) or not _check_version(cache_dir):
-        return None
-    return _read_record(_record_path(cache_dir, op, params))
+            self._stamped = True
+        payload = [asdict(rec) for rec in records]
+        blob = {"payload": payload, "checksum": _digest(payload)}
+        path = os.path.join(self.root, cache_key([(r.op, r.params) for r in records]) + ".json")
+        _atomic_write(path, json.dumps(blob, sort_keys=True))
 
 
 def _csv_row(record: RunRecord) -> List[str]:

@@ -29,7 +29,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import bounds, counting, torusgrid
 from .phase import FixedPhase
-from .runcache import ResultCache, RunRecord, append_records, new_run_id
+from .runcache import Key, ResultCache, RunRecord, append_records, new_run_id
 
 IDENTITY_REL_TOL = 1e-8
 
@@ -70,21 +70,20 @@ class _Session:
         self.cache = cache
         self.failures = 0
 
-    def cached(self, keys: Sequence[Tuple[str, Dict[str, object]]],
+    def cached(self, keys: Sequence[Key],
                compute: Callable[[], Sequence[Result]]) -> List[RunRecord]:
         """Records for a group of (op, params) keys computed together.
 
-        Replays the group, with fresh run ids, only when every key hits, so
-        no record mixes with values of another run.  Otherwise compute()
-        runs once, returns one (value, err_est, exact) per key, and its wall
-        time is split evenly over the records it stores.  Every key is looked
-        up, so a corrupt file raises CacheCorruption either way.
+        The group is the cache's unit: one lookup replays it whole, with
+        fresh run ids, or misses.  On a miss compute() runs once, returns
+        one (value, err_est, exact) per key, and its wall time is split
+        evenly over the records, which one store writes as one file.
         """
         if not keys:  # an item with an empty list, such as `q =`
             return []
         if self.cache is not None:
-            hits = [self.cache.lookup(op, params) for op, params in keys]
-            if all(hit is not None for hit in hits):
+            hits = self.cache.lookup(keys)
+            if hits is not None:
                 return [replace(hit, run_id=new_run_id()) for hit in hits]
         t0 = time.perf_counter()
         results = compute()
@@ -92,8 +91,7 @@ class _Session:
         records = [RunRecord(new_run_id(), op, params, value, err_est, wall, exact)
                    for (op, params), (value, err_est, exact) in zip(keys, results)]
         if self.cache is not None:
-            for rec in records:
-                self.cache.store(rec)
+            self.cache.store(records)
         return records
 
 
@@ -123,14 +121,11 @@ def _estimate(X: int, s: int, tol: float) -> Result:
 
 
 def _restricted_sweep(session: _Session, opt: Dict[str, str]) -> List[RunRecord]:
-    # restricted_profile refines every cutoff onto one shared final grid, so
-    # a value belongs to its whole cutoff list, and the list is in its key
     x = int(opt["x"])
     s = int(opt.get("s", 12))
     tol = float(opt.get("tol", "1e-3"))
     qs = _parse_int_list(opt["q"], opt.get("step"))
-    keys = [("restricted_moment", {"X": x, "s": s, "Q": q, "tol": tol, "cutoffs": qs})
-            for q in qs]
+    keys = [("restricted_moment", {"X": x, "s": s, "Q": q, "tol": tol}) for q in qs]
     return session.cached(keys, lambda: [
         (repr(est.value), est.err_est, est.exact)
         for est in torusgrid.restricted_profile(x, s, qs, tol)])
@@ -198,9 +193,9 @@ def run_items(items: Sequence[Item],
     given; returns (failed identity checks, records).
 
     Every kind is checked before anything runs: an unknown one raises
-    PlanError.  Each item's records are one cache group per X for the
-    sweeps, per trial for lemma22-identity, and one group for a whole
-    restricted-sweep or bounds-compare item.
+    PlanError.  Each item's records are one cache group, and one cache
+    file, per X for the sweeps, per trial for lemma22-identity, and one
+    for a whole restricted-sweep or bounds-compare item.
     """
     for kind, _ in items:
         if kind not in _HANDLERS:

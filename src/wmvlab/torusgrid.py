@@ -35,6 +35,7 @@ import numpy as np
 RealLike = Union[int, float, str, Fraction]
 
 MALPHA_GUARD = 1 << 28
+GRID_POINTS_GUARD = 1 << 30  # computed rows x Malpha of one level (~85 s)
 
 
 @dataclass(frozen=True)
@@ -63,7 +64,7 @@ class MomentEstimate:
     """A quadrature result on the grid `spec`.  exact=True only for an even
     moment on its band-limited grid, where err_est is 0; otherwise err_est
     is the last doubling delta, a heuristic rather than a bound, and
-    converged says whether it came within tol before the memory guard."""
+    converged says whether it came within tol before the grid guards."""
 
     value: float
     err_est: float
@@ -173,8 +174,6 @@ def even_moment_exact(X: int, s: int) -> MomentEstimate:
     if s < 2 or s % 2:
         raise ValueError("s must be a positive even integer")
     spec = auto_spec_even(X, s)
-    if spec.Malpha > MALPHA_GUARD:
-        raise ValueError("exact grid exceeds the 2^28 memory guard")
     value = _grid_means(X, s, spec, [None])[0]
     return MomentEstimate(value, 0.0, True, spec)
 
@@ -183,22 +182,31 @@ def _refine(X: int, s: int, cutoffs: Sequence[Optional[Fraction]], tol: float
             ) -> Tuple[List[float], List[float], GridSpec, bool]:
     """Means of |g|^s over the alpha rows minor at each cutoff Q (None: all),
     doubling the grid from auto_spec_start(X, s) until each is within tol of
-    the last level's.  Returns (values, deltas, final spec, converged)."""
+    the last level's.  Returns (values, deltas, final spec, converged).
+
+    A level past MALPHA_GUARD, or whose computed rows x Malpha pass
+    GRID_POINTS_GUARD, is not run: the last level's values and spec come
+    back with converged=False.  A first level past either guard raises."""
+    half = all(T is None for T in cutoffs)
     spec = auto_spec_start(X, s)
-    prev: Optional[List[float]] = None
+    values: Optional[List[float]] = None
     errs = [float("nan")] * len(cutoffs)
-    while True:
+    while spec.Malpha <= MALPHA_GUARD:
+        if len(_row_orbits(spec, half)) * spec.Malpha > GRID_POINTS_GUARD:
+            break
         keeps = [None if T is None else np.flatnonzero(arc_mask(spec, T, X))
                  for T in cutoffs]
-        values = _grid_means(X, s, spec, keeps)
-        if prev is not None:
-            errs = [abs(v - p) / max(abs(v), 1e-300) for v, p in zip(values, prev)]
+        new = _grid_means(X, s, spec, keeps)
+        if values is not None:
+            errs = [abs(v - p) / max(abs(v), 1e-300) for v, p in zip(new, values)]
             if max(errs) <= tol:
-                return values, errs, spec, True
-        prev = values
-        if spec.Malpha * 2 > MALPHA_GUARD:
-            return values, errs, spec, False
+                return new, errs, spec, True
+        values, last = new, spec
         spec = GridSpec(spec.Malpha * 2, spec.Mbeta * 2, X)
+    if values is None:
+        raise ValueError(f"first grid level {spec.Malpha:,} x {spec.Mbeta:,} "
+                         f"exceeds the 2^28 Malpha or 2^30 points guard")
+    return values, errs, last, False
 
 
 def moment_estimate(X: int, s: int, tol: float) -> MomentEstimate:

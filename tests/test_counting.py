@@ -77,7 +77,15 @@ def test_moment_count_rejects_odd_or_large_s():
     with pytest.raises(ValueError):
         moment_count(5, 3)
     with pytest.raises(ValueError):
-        moment_count(5, 8)
+        moment_count(5, 14)
+
+
+def test_moment_count_high_even_moments_match_the_counter_oracle():
+    # I8, I10, I12: h = 4, 5, 6 variables per side against ordered h-tuples
+    for h in (4, 5, 6):
+        for X in range(2, 6):
+            per_side = _sum_cube(_ordered_spectrum(X, h))
+            assert moment_count(X, 2 * h) == _shared(per_side, per_side), (X, h)
 
 
 def test_moment_matches_brute_force():

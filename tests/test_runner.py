@@ -9,7 +9,7 @@ import pytest
 from wmvlab import bounds, cli, counting, runner
 from wmvlab.runcache import (CSV_HEADER, ENGINE_VERSION, CacheCorruption,
                              CacheVersionMismatch, ResultCache, RunRecord,
-                             append_records, cache_key, cache_lookup)
+                             append_records, cache_key)
 from wmvlab.runner import PlanError, _parse_int_list, load_plan, run_plan
 
 
@@ -30,59 +30,69 @@ def _csv_rows(path):
 def test_cache_lookup_miss_then_hit_then_changed_param(tmp_path):
     cache_dir = str(tmp_path / "cache")
     params = {"X": 12, "s": 4}
-    assert cache_lookup("moment_count", params, cache_dir) is None
+    assert ResultCache(cache_dir).lookup([("moment_count", params)]) is None
 
     cache = ResultCache(cache_dir)
-    cache.store(RunRecord("a" * 12, "moment_count", params, "253", None, 0.01, True))
+    cache.store([RunRecord("a" * 12, "moment_count", params, "253", None, 0.01, True)])
 
-    hit = cache_lookup("moment_count", params, cache_dir)
-    assert hit is not None
+    (hit,) = ResultCache(cache_dir).lookup([("moment_count", params)])
     assert hit.value == "253"
     assert hit.exact is True
     # any change to op or params is a miss
-    assert cache_lookup("moment_count", {"X": 12, "s": 6}, cache_dir) is None
-    assert cache_lookup("vinogradov_count", params, cache_dir) is None
+    assert ResultCache(cache_dir).lookup([("moment_count", {"X": 12, "s": 6})]) is None
+    assert ResultCache(cache_dir).lookup([("vinogradov_count", params)]) is None
 
 
 def test_cache_lookup_leaves_an_empty_directory_empty(tmp_path):
-    assert cache_lookup("moment_count", {"X": 12, "s": 4}, str(tmp_path)) is None
+    assert ResultCache(str(tmp_path)).lookup([("moment_count", {"X": 12, "s": 4})]) is None
     assert os.listdir(tmp_path) == []
+    missing = tmp_path / "missing"
+    assert ResultCache(str(missing)).lookup([("moment_count", {"X": 12, "s": 4})]) is None
+    assert not missing.exists()
 
 
 def test_records_without_a_manifest_are_refused_and_left_alone(tmp_path):
     root = tmp_path / "orphaned"
-    params = {"X": 4, "s": 6}
-    ResultCache(str(root)).store(RunRecord("a" * 12, "moment_count", params, "999", None, 0.0, True))
+    key = ("moment_count", {"X": 4, "s": 6})
+    ResultCache(str(root)).store([RunRecord("a" * 12, *key, "999", None, 0.0, True)])
     (root / "manifest.json").unlink()
     before = {name: (root / name).read_bytes() for name in os.listdir(root)}
     with pytest.raises(CacheVersionMismatch, match="holds records but no manifest"):
         ResultCache(str(root))
     assert {name: (root / name).read_bytes() for name in os.listdir(root)} == before
-    assert cache_lookup("moment_count", params, str(root)) is None
 
-    # a directory with neither a manifest nor records is adopted and stamped
+    # a directory with neither a manifest nor records is adopted: a lookup
+    # leaves it empty, and the first store stamps the current manifest
     empty = tmp_path / "empty"
     empty.mkdir()
-    assert ResultCache(str(empty)).lookup("moment_count", params) is None
-    assert os.listdir(empty) == ["manifest.json"]
+    cache = ResultCache(str(empty))
+    assert cache.lookup([key]) is None
+    assert os.listdir(empty) == []
+    cache.store([RunRecord("b" * 12, *key, "729", None, 0.0, True)])
+    assert sorted(os.listdir(empty)) == sorted(["manifest.json", cache_key([key]) + ".json"])
     assert json.loads((empty / "manifest.json").read_text())["engine_version"] == ENGINE_VERSION
 
 
 def test_cache_key_is_order_insensitive():
-    a = cache_key("moment_count", {"X": 5, "s": 2})
-    b = cache_key("moment_count", {"s": 2, "X": 5})
+    a = cache_key([("moment_count", {"X": 5, "s": 2})])
+    b = cache_key([("moment_count", {"s": 2, "X": 5})])
     assert a == b
     assert len(a) == 64
     int(a, 16)  # hex digest
-    assert cache_key("moment_count", {"X": 5, "s": 4}) != a
-    assert cache_key("other_op", {"X": 5, "s": 2}) != a
+    assert cache_key([("moment_count", {"X": 5, "s": 4})]) != a
+    assert cache_key([("other_op", {"X": 5, "s": 2})]) != a
+    # a group is its keys in order: reordered or extended lists are other groups
+    pair = [("moment_count", {"X": 5, "s": 2}), ("moment_count", {"X": 6, "s": 2})]
+    assert cache_key(pair) != cache_key(pair[::-1])
+    assert cache_key(pair) not in (a, cache_key(pair[1:]))
 
 
 def test_manifest_names_the_digest(tmp_path):
-    ResultCache(str(tmp_path / "c"))
+    ResultCache(str(tmp_path / "c")).store(
+        [RunRecord("a" * 12, "moment_count", {"X": 2, "s": 2}, "2", None, 0.0, True)])
     manifest = json.loads((tmp_path / "c" / "manifest.json").read_text())
     assert manifest["digest_algorithm"] == "sha256"
-    assert manifest["layout"] == "one-record-per-file"
+    assert manifest["layout"] == "one-group-per-file"
 
 
 def test_cache_from_another_engine_version_is_refused(tmp_path, capsys):
@@ -100,7 +110,7 @@ def test_cache_from_another_engine_version_is_refused(tmp_path, capsys):
     manifest.write_text(json.dumps({"engine_version": ENGINE_VERSION - 1}))
     with pytest.raises(CacheVersionMismatch,
                        match=f"engine version {ENGINE_VERSION - 1}, not the current"):
-        cache_lookup("moment_count", {"X": 4, "s": 6}, str(old))
+        ResultCache(str(old))
 
     # `wmvlab run` exits 1 with that message and leaves the directory alone
     plan = _plan(tmp_path, "[i6-sweep]\nx = 4\n")
@@ -114,44 +124,46 @@ def test_cache_from_another_engine_version_is_refused(tmp_path, capsys):
     assert cli.main(["run", "--config", plan, "--cache-dir", str(fresh)]) == 0
     stamped = json.loads((fresh / "manifest.json").read_text())
     assert stamped["engine_version"] == ENGINE_VERSION
-    assert ResultCache(str(fresh)).lookup("moment_count", {"X": 4, "s": 6}) is not None
+    assert ResultCache(str(fresh)).lookup([("moment_count", {"X": 4, "s": 6})]) is not None
 
 
 def test_tampered_value_raises_cache_corruption(tmp_path):
     cache = ResultCache(str(tmp_path))
-    params = {"X": 8, "s": 2}
-    cache.store(RunRecord("b" * 12, "moment_count", params, "8", None, 0.0, True))
+    key = ("moment_count", {"X": 8, "s": 2})
+    cache.store([RunRecord("b" * 12, *key, "8", None, 0.0, True)])
 
-    path = tmp_path / (cache_key("moment_count", params) + ".json")
+    path = tmp_path / (cache_key([key]) + ".json")
     blob = json.loads(path.read_text())
-    blob["payload"]["value"] = "9"
+    blob["payload"][0]["value"] = "9"
     path.write_text(json.dumps(blob))
     with pytest.raises(CacheCorruption):
-        cache.lookup("moment_count", params)
+        cache.lookup([key])
 
 
 def test_unreadable_or_incomplete_cache_file_raises(tmp_path):
     cache = ResultCache(str(tmp_path))
-    params = {"X": 3, "s": 2}
-    path = tmp_path / (cache_key("moment_count", params) + ".json")
+    key = ("moment_count", {"X": 3, "s": 2})
+    path = tmp_path / (cache_key([key]) + ".json")
 
     path.write_text("{ not json")
     with pytest.raises(CacheCorruption):
-        cache.lookup("moment_count", params)
+        cache.lookup([key])
 
-    path.write_text(json.dumps({"payload": {"run_id": "x"}}))  # no checksum
+    path.write_text(json.dumps({"payload": [{"run_id": "x"}]}))  # no checksum
     with pytest.raises(CacheCorruption):
-        cache.lookup("moment_count", params)
+        cache.lookup([key])
 
 
 def test_store_then_lookup_roundtrips_every_field(tmp_path):
     cache = ResultCache(str(tmp_path))
-    rec = RunRecord("c" * 12, "moment_estimate", {"X": 6, "s": 3, "tol": 1e-6},
-                    "123.4375", 2.5e-7, 1.25)
-    cache.store(rec)
-    back = cache.lookup("moment_estimate", {"X": 6, "s": 3, "tol": 1e-6})
-    assert back == rec
-    assert back.exact is None
+    recs = [RunRecord("c" * 12, "moment_estimate", {"X": 6, "s": 3, "tol": 1e-6},
+                      "123.4375", 2.5e-7, 1.25),
+            RunRecord("d" * 12, "moment_count", {"X": 6, "s": 4}, "66", None, 0.5, True)]
+    cache.store(recs)
+    back = cache.lookup([("moment_estimate", {"X": 6, "s": 3, "tol": 1e-6}),
+                         ("moment_count", {"X": 6, "s": 4})])
+    assert back == recs
+    assert back[0].exact is None
 
 
 # plan parsing
@@ -374,7 +386,7 @@ def test_restricted_values_do_not_depend_on_an_earlier_plan(tmp_path):
     assert vals == sorted(vals, reverse=True)
 
 
-def test_bounds_item_missing_one_record_recomputes_as_a_group(tmp_path, monkeypatch):
+def test_bounds_item_with_its_group_file_deleted_recomputes_the_group(tmp_path, monkeypatch):
     calls = []
     inner = bounds.bound_values
 
@@ -389,10 +401,12 @@ def test_bounds_item_missing_one_record_recomputes_as_a_group(tmp_path, monkeypa
     _, records = run_plan(path, out=str(first), cache_dir=str(cache_dir))
     assert len({r.wall_seconds for r in records}) == 1  # the group's time, split evenly
 
-    (cache_dir / (cache_key(records[1].op, records[1].params) + ".json")).unlink()
+    group = cache_dir / (cache_key([(r.op, r.params) for r in records]) + ".json")
+    group.unlink()
     calls.clear()
-    run_plan(path, out=str(again), cache_dir=str(cache_dir))
+    _, recomputed = run_plan(path, out=str(again), cache_dir=str(cache_dir))
     assert len(calls) == 3
+    assert len({r.wall_seconds for r in recomputed}) == 1
     vol = (CSV_HEADER.index("run_id"), CSV_HEADER.index("wall_seconds"))
     stable = [[[c for i, c in enumerate(r) if i not in vol] for r in _csv_rows(p)]
               for p in (first, again)]
@@ -400,3 +414,26 @@ def test_bounds_item_missing_one_record_recomputes_as_a_group(tmp_path, monkeypa
     calls.clear()
     run_plan(path, cache_dir=str(cache_dir))
     assert calls == []
+
+    # a group file copied over another group's file is reported, not replayed
+    other = _plan(tmp_path, "[bounds-compare]\nx = 64\ntrials = 3\nseed = 5\n", "other.ini")
+    _, others = run_plan(other, cache_dir=str(cache_dir))
+    other_group = cache_dir / (cache_key([(r.op, r.params) for r in others]) + ".json")
+    other_group.write_bytes(group.read_bytes())
+    with pytest.raises(CacheCorruption, match="another group"):
+        run_plan(other, cache_dir=str(cache_dir))
+
+
+def test_a_plan_writes_one_cache_file_per_group(tmp_path):
+    text = ("[count-sweep]\nx = 2,3,4\ns = 4\n\n"
+            "[restricted-sweep]\nx = 6\ns = 4\nq = 2,4\ntol = 1e-3\n\n"
+            "[bounds-compare]\nx = 16\ntrials = 2\nseed = 5\n\n"
+            "[lemma22-identity]\nx = 5\ntrials = 2\nseed = 1\n")
+    cache_dir = tmp_path / "cache"
+    _, records = run_plan(_plan(tmp_path, text), cache_dir=str(cache_dir))
+    assert len(records) == 3 + 2 + 3 + 2
+    # one group per X, the restricted item, the bounds item, one per trial
+    files = os.listdir(cache_dir)
+    assert len(files) == 3 + 1 + 1 + 2 + 1 and "manifest.json" in files
+    # the restricted group's key lists every Q, so no record repeats the list
+    assert all("cutoffs" not in r.params for r in records)

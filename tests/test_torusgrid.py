@@ -94,7 +94,7 @@ def test_even_moment_guards():
     with pytest.raises(ValueError):
         even_moment_exact(5, 3)
     with pytest.raises(ValueError):
-        even_moment_exact(500, 6)  # 3X^3 past the 2^28 guard
+        even_moment_exact(500, 6)  # 3X^3 past amplitude_row's 2^28 guard
 
 
 def test_doubling_past_nyquist_is_stable():
@@ -201,6 +201,31 @@ def test_refine_reports_nonconvergence(monkeypatch):
     est = moment_estimate(2, 3, 1e-12)
     assert not est.converged
     assert est.err_est > 0.0
+
+
+def test_refine_stops_before_a_level_past_the_points_guard(monkeypatch):
+    from wmvlab.torusgrid import _grid_means
+    # moment_estimate(2, 3) folds its levels to 9 x 32 = 288, 17 x 64 = 1088
+    # and 33 x 128 = 4224 computed points; restricted_profile(8, 4) runs
+    # 65 x 2048 = 133,120, then 129 x 4096 = 528,384
+    first = auto_spec_start(2, 3)
+    second = GridSpec(first.Malpha * 2, first.Mbeta * 2, 2)
+    monkeypatch.setattr(torusgrid, "GRID_POINTS_GUARD", 2000)
+    est = moment_estimate(2, 3, 1e-12)
+    assert not est.converged
+    assert est.spec == second
+    assert est.value == _grid_means(2, 3, second, [None])[0]
+    assert est.err_est > 0.0
+
+    monkeypatch.setattr(torusgrid, "GRID_POINTS_GUARD", 200_000)
+    (est,) = restricted_profile(8, 4, [2], 1e-12)
+    assert not est.converged and est.spec == auto_spec_start(8, 4)
+    assert math.isnan(est.err_est)  # one level ran, so there is no delta
+
+    # a first level past the guard is refused before any FFT
+    monkeypatch.setattr(torusgrid, "GRID_POINTS_GUARD", 100)
+    with pytest.raises(ValueError, match="points guard"):
+        moment_estimate(2, 3, 1e-12)
 
 
 def test_cauchy_schwarz_chain_at_x4():
