@@ -66,11 +66,10 @@ def _multisets(X: int, h: int, n_lo: int, n_hi: int, square: bool):
     return lin, sq, cube, _ORDERINGS[h][denom]
 
 
-def _shared_key_count(X: int, a: int, b: int, square: bool) -> int:
+def _shared_key_count(X: int, h: int, square: bool) -> int:
     """Sum over keys (linear sum, square-sum if `square`, cube-sum) of
-    W_a(key) * W_b(key), where W_h(key) counts the ordered h-tuples over
-    [1, X] with that key: the number of solutions with a variables on the
-    left and b on the right.
+    W(key)^2, where W(key) counts the ordered h-tuples over [1, X] with that
+    key: the number of solutions with h variables on each side.
 
     Batches of consecutive slabs hold about 2^16 multisets, fewer where the
     packed int64 sort key (slab offset, square-sum, cube-sum, weight) would
@@ -79,7 +78,6 @@ def _shared_key_count(X: int, a: int, b: int, square: bool) -> int:
     """
     if X < 1:
         raise ValueError("X must be positive")
-    h = max(a, b)
     multisets = math.comb(X + h - 1, h)
     if multisets > MULTISET_GUARD:
         raise ValueError(f"{multisets:,} sorted {h}-multisets over [1, {X}] "
@@ -93,9 +91,12 @@ def _shared_key_count(X: int, a: int, b: int, square: bool) -> int:
     if h > 1:
         width = min(width, _INT64_MAX // slab_span)
 
-    def per_key(arity: int, n_lo: int, n_hi: int):
-        # unique packed keys of slabs n_lo..n_hi, and ordered tuples per key
-        lin, sq, cube, weight = _multisets(X, arity, n_lo, n_hi, square)
+    def weights(n_lo: int, n_hi: int) -> np.ndarray:
+        # ordered tuples per key of slabs n_lo..n_hi; an h = 1 batch has one
+        # value per slab, keys already strictly increasing, so no sort
+        lin, sq, cube, weight = _multisets(X, h, n_lo, n_hi, square)
+        if h == 1:
+            return weight
         key = lin - n_lo
         if square:
             key = key * sq_span + sq
@@ -103,11 +104,11 @@ def _shared_key_count(X: int, a: int, b: int, square: bool) -> int:
         packed.sort()
         key = packed >> wbits
         starts = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
-        return key[starts], np.add.reduceat(packed & ((1 << wbits) - 1), starts)
+        return np.add.reduceat(packed & ((1 << wbits) - 1), starts)
 
-    lo, hi = h, min(a, b) * X
+    lo, hi = h, h * X
     ranges = [(lo, hi, 1)]
-    if a == b and square:
+    if square:
         # x -> X+1-x maps slab n onto slab lo+hi-n, and its keys one to one:
         # the new cube-sum depends on n and the square-sum only.  Without
         # the square-sum in the key that fails, so (sum, cube) counts run in full.
@@ -116,19 +117,8 @@ def _shared_key_count(X: int, a: int, b: int, square: bool) -> int:
     total = 0
     for r_lo, r_hi, factor in ranges:
         for n_lo in range(r_lo, r_hi + 1, width):
-            n_hi = min(n_lo + width - 1, r_hi)
-            if h == 1:
-                # one value per slab: keys already strictly increasing, no sort
-                weight = _multisets(X, 1, n_lo, n_hi, False)[3]
-                total += factor * int(np.dot(weight, weight))
-            elif a == b:
-                _, weight = per_key(a, n_lo, n_hi)
-                total += factor * int(np.dot(weight, weight))
-            else:
-                ka, wa = per_key(a, n_lo, n_hi)
-                kb, wb = per_key(b, n_lo, n_hi)
-                _, ia, ib = np.intersect1d(ka, kb, assume_unique=True, return_indices=True)
-                total += factor * int(np.dot(wa[ia], wb[ib]))
+            weight = weights(n_lo, min(n_lo + width - 1, r_hi))
+            total += factor * int(np.dot(weight, weight))
     return total
 
 
@@ -139,7 +129,7 @@ def moment_count(X: int, s: int, workers: int = 1) -> int:
     # `workers` is unused; perfbench/selftest.py still passes it positionally
     if s not in (2, 4, 6, 8, 10, 12):
         raise ValueError("s must be 2, 4, 6, 8, 10 or 12")
-    return _shared_key_count(X, s // 2, s // 2, square=False)
+    return _shared_key_count(X, s // 2, square=False)
 
 
 def vinogradov_count(X: int, s: int) -> int:
@@ -151,13 +141,14 @@ def vinogradov_count(X: int, s: int) -> int:
     J_{3,3}(X) = 6X^3 - 9X^2 + 4X, the permutation pairs.  For h variables
     per side up to six, the critical case J_{6,3}, use `vinogradov_j`.
 
-    For odd s the two sides have different arities; both are enumerated and
-    their keys compared, which returns the true count (zero: power sums up
-    to degree 3 pin down multisets of size <= 3, and padding the short side
-    with 0 leaves [1,X])."""
+    For odd s the count is zero without enumeration: power sums up to
+    degree 3 pin down multisets of size <= 3, and padding the short side
+    with 0, which lies outside [1, X], would have to match the long one."""
     if s not in (2, 3, 4, 5, 6):
         raise ValueError("s must be in {2, 3, 4, 5, 6}")
-    return _shared_key_count(X, (s + 1) // 2, s // 2, square=True)
+    if X < 1:
+        raise ValueError("X must be positive")
+    return 0 if s % 2 else _shared_key_count(X, s // 2, square=True)
 
 
 def vinogradov_j(X: int, h: int) -> int:
@@ -167,7 +158,7 @@ def vinogradov_j(X: int, h: int) -> int:
     """
     if h not in range(1, 7):
         raise ValueError("h must be in {1, ..., 6}")
-    return _shared_key_count(X, h, h, square=True)
+    return _shared_key_count(X, h, square=True)
 
 
 def brute_force_moment(X: int, s: int) -> int:

@@ -32,7 +32,10 @@ CSV_HEADER = ["run_id", "op", "X", "s", "Q", "k", "alpha",
 #    and restricted floats can move in the last bits).
 # 5: the cache layout changed to one file per record group; no engine value
 #    changed, but version-4 directories hold one file per record.
-ENGINE_VERSION = 5
+# 6: the doubling ladder starts on the band-limited grid of the next even
+#    moment (odd grid-sweep and restricted-sweep floats move in the last
+#    bits, and odd err_est changes).
+ENGINE_VERSION = 6
 
 _MANIFEST = {"digest_algorithm": "sha256", "engine_version": ENGINE_VERSION,
              "layout": "one-group-per-file", "version": 1}

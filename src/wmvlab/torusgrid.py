@@ -19,8 +19,9 @@ frequencies bounded by (s/2)X^3 and beta frequencies by (s/2)X, so the plain
 grid mean is the exact integral once the grid exceeds those band limits;
 moment_estimate takes even s straight to that one grid.
 Odd moments (and minor-arc restrictions, whose masks break band-limitedness)
-are refined by doubling the grid until successive values stabilize; the
-reported error is the last doubling delta, a heuristic and labeled as such.
+are refined by doubling the grid from the band-limited grid of the next even
+moment s + s % 2 until successive values stabilize; the reported error is
+the last doubling delta, a heuristic and labeled as such.
 """
 
 from __future__ import annotations
@@ -85,15 +86,9 @@ def auto_spec_even(X: int, s: int) -> GridSpec:
 
 
 def auto_spec_start(X: int, s: int) -> GridSpec:
-    """Default starting grid for the doubling refinement."""
-    half = (s + 1) // 2
-    ma = _pow2_at_least((half + 1) * X ** 3)
-    mb = _pow2_at_least((half + 1) * 4 * X)
-    while ma < 2 * X ** 3 + 1:
-        ma *= 2
-    while mb < 2 * X + 1:
-        mb *= 2
-    return GridSpec(ma, mb, X)
+    """First grid of the doubling refinement: the band-limited grid of the
+    next even moment, where |g|^(s + s % 2) is exact."""
+    return auto_spec_even(X, s + s % 2)
 
 
 def amplitude_row(X: int, spec: GridSpec, j_beta: int) -> np.ndarray:
@@ -185,12 +180,13 @@ def _refine(X: int, s: int, cutoffs: Sequence[Optional[Fraction]], tol: float
     the last level's.  Returns (values, deltas, final spec, converged).
 
     A level past MALPHA_GUARD, or whose computed rows x Malpha pass
-    GRID_POINTS_GUARD, is not run: the last level's values and spec come
-    back with converged=False.  A first level past either guard raises."""
+    GRID_POINTS_GUARD, is not run: the last level's values, deltas and spec
+    come back with converged=False.  If that leaves fewer than two levels to
+    compare, the ladder raises instead."""
     half = all(T is None for T in cutoffs)
     spec = auto_spec_start(X, s)
     values: Optional[List[float]] = None
-    errs = [float("nan")] * len(cutoffs)
+    errs: List[float] = []
     while spec.Malpha <= MALPHA_GUARD:
         if len(_row_orbits(spec, half)) * spec.Malpha > GRID_POINTS_GUARD:
             break
@@ -203,9 +199,9 @@ def _refine(X: int, s: int, cutoffs: Sequence[Optional[Fraction]], tol: float
                 return new, errs, spec, True
         values, last = new, spec
         spec = GridSpec(spec.Malpha * 2, spec.Mbeta * 2, X)
-    if values is None:
-        raise ValueError(f"first grid level {spec.Malpha:,} x {spec.Mbeta:,} "
-                         f"exceeds the 2^28 Malpha or 2^30 points guard")
+    if not errs:  # fewer than two levels ran, so there is no delta
+        raise ValueError(f"{'second' if values else 'first'} grid level {spec.Malpha:,} x "
+                         f"{spec.Mbeta:,} exceeds the 2^28 Malpha or 2^30 points guard")
     return values, errs, last, False
 
 

@@ -152,13 +152,17 @@ def test_rows_per_grid_after_the_fold(monkeypatch):
         spec = auto_spec_even(X, s)
         assert est.spec == spec and est.exact and est.err_est == 0.0
         assert calls == [spec] * (spec.Mbeta // 4 + 1), (X, s)
-    # refinement: Mbeta/4 + 1 rows per level unrestricted, Mbeta/2 + 1 masked
-    for fold, run in ((4, lambda: moment_estimate(2, 3, 1e-4)),
-                      (2, lambda: restricted_profile(8, 4, [2, 4], 1e-3)[0])):
+    # refinement: Mbeta/4 + 1 rows per level unrestricted, Mbeta/2 + 1
+    # masked, and the first level is the next even moment's exact grid
+    for fold, start, run in (
+            (4, auto_spec_even(2, 4), lambda: moment_estimate(2, 3, 1e-4)),
+            (4, auto_spec_even(4, 10), lambda: moment_estimate(4, 9, 1e-4)),
+            (2, auto_spec_even(8, 4), lambda: restricted_profile(8, 4, [2, 4], 1e-3)[0]),
+            (2, auto_spec_even(6, 6), lambda: restricted_profile(6, 5, [2], 1e-3)[0])):
         calls.clear()
         est = run()
         levels = sorted(set(calls), key=lambda sp: sp.Mbeta)
-        assert levels[-1] == est.spec and len(levels) >= 2
+        assert levels[0] == start and levels[-1] == est.spec and len(levels) >= 2
         assert len(calls) == sum(sp.Mbeta // fold + 1 for sp in levels)
 
 
@@ -205,26 +209,26 @@ def test_refine_reports_nonconvergence(monkeypatch):
 
 def test_refine_stops_before_a_level_past_the_points_guard(monkeypatch):
     from wmvlab.torusgrid import _grid_means
-    # moment_estimate(2, 3) folds its levels to 9 x 32 = 288, 17 x 64 = 1088
-    # and 33 x 128 = 4224 computed points; restricted_profile(8, 4) runs
-    # 65 x 2048 = 133,120, then 129 x 4096 = 528,384
+    # moment_estimate(2, 3) folds its levels to 3 x 32 = 96, 5 x 64 = 320
+    # and 9 x 128 = 1,152 computed points; restricted_profile(8, 4) runs
+    # 17 x 2,048 = 34,816, then 33 x 4,096 = 135,168
     first = auto_spec_start(2, 3)
     second = GridSpec(first.Malpha * 2, first.Mbeta * 2, 2)
-    monkeypatch.setattr(torusgrid, "GRID_POINTS_GUARD", 2000)
+    monkeypatch.setattr(torusgrid, "GRID_POINTS_GUARD", 1000)
     est = moment_estimate(2, 3, 1e-12)
     assert not est.converged
     assert est.spec == second
     assert est.value == _grid_means(2, 3, second, [None])[0]
     assert est.err_est > 0.0
 
-    monkeypatch.setattr(torusgrid, "GRID_POINTS_GUARD", 200_000)
-    (est,) = restricted_profile(8, 4, [2], 1e-12)
-    assert not est.converged and est.spec == auto_spec_start(8, 4)
-    assert math.isnan(est.err_est)  # one level ran, so there is no delta
+    # one level ran, so there is no delta: refused, not a NaN error
+    monkeypatch.setattr(torusgrid, "GRID_POINTS_GUARD", 100_000)
+    with pytest.raises(ValueError, match="second grid level 4,096 x 64 .* points guard"):
+        restricted_profile(8, 4, [2], 1e-12)
 
     # a first level past the guard is refused before any FFT
-    monkeypatch.setattr(torusgrid, "GRID_POINTS_GUARD", 100)
-    with pytest.raises(ValueError, match="points guard"):
+    monkeypatch.setattr(torusgrid, "GRID_POINTS_GUARD", 50)
+    with pytest.raises(ValueError, match="first grid level .* points guard"):
         moment_estimate(2, 3, 1e-12)
 
 
