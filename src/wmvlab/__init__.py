@@ -12,8 +12,8 @@ from .bounds import (BoundComparison, BoundProfile, HCount, bound_values,
                      exponent_curves, k_bound_check, k_counts, kappa,
                      phi_quantity, theta_quantity)
 from .counting import (beta_fourth_moment, brute_force_moment, moment_count,
-                       reciprocal_sum_bound, u_identity_rhs, vinogradov_count,
-                       vinogradov_j)
+                       ninth_moment_bracket, reciprocal_sum_bound,
+                       u_identity_rhs, vinogradov_count, vinogradov_j)
 from .fitting import FitResult, fit_powerlaw, fit_segre
 from .phase import FixedPhase, eval_f, eval_g, unit
 from .runcache import (CacheCorruption, CacheVersionMismatch, ResultCache,

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from typing import Tuple
 
 import numpy as np
 
@@ -130,6 +131,15 @@ def moment_count(X: int, s: int, workers: int = 1) -> int:
     if s not in (2, 4, 6, 8, 10, 12):
         raise ValueError("s must be 2, 4, 6, 8, 10 or 12")
     return _shared_key_count(X, s // 2, square=False)
+
+
+def ninth_moment_bracket(X: int) -> Tuple[float, float]:
+    """(lower, upper) bounds on I9(X) from exact even moments.  s -> log I_s
+    is convex (Hoelder), so I9 <= sqrt(I8 I10), and I8 <= I9^(2/3) I6^(1/3),
+    I10 <= I9^(2/3) I12^(1/3) give I9 >= I8^(3/2)/I6^(1/2), I10^(3/2)/I12^(1/2).
+    MULTISET_GUARD on I12 caps X at 62."""
+    i6, i8, i10, i12 = (moment_count(X, s) for s in (6, 8, 10, 12))
+    return max(i8 ** 1.5 / i6 ** 0.5, i10 ** 1.5 / i12 ** 0.5), math.sqrt(i8 * i10)
 
 
 def vinogradov_count(X: int, s: int) -> int:

@@ -35,7 +35,10 @@ CSV_HEADER = ["run_id", "op", "X", "s", "Q", "k", "alpha",
 # 6: the doubling ladder starts on the band-limited grid of the next even
 #    moment (odd grid-sweep and restricted-sweep floats move in the last
 #    bits, and odd err_est changes).
-ENGINE_VERSION = 6
+# 7: the ladder keeps Mbeta for even s and steps odd s by 3/2 then 4/3
+#    (odd grid-sweep values and err_est move at about 1e-12, restricted-sweep
+#    values in their last bits).
+ENGINE_VERSION = 7
 
 _MANIFEST = {"digest_algorithm": "sha256", "engine_version": ENGINE_VERSION,
              "layout": "one-group-per-file", "version": 1}

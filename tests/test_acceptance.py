@@ -12,8 +12,8 @@ from math import gcd
 from wmvlab import bounds
 from wmvlab.arcs import classify
 from wmvlab.counting import (beta_fourth_moment, brute_force_moment,
-                             moment_count, u_identity_rhs, vinogradov_count,
-                             vinogradov_j)
+                             moment_count, ninth_moment_bracket,
+                             u_identity_rhs, vinogradov_count, vinogradov_j)
 from wmvlab.fitting import fit_powerlaw, fit_segre
 from wmvlab.phase import SCALE, FixedPhase, eval_f
 from wmvlab.torusgrid import even_moment_exact, moment_estimate, restricted_profile
@@ -122,18 +122,18 @@ def test_c05_fourth_moment_identity_two_sided():
 def test_c06_minor_arc_moment_slopes():
     t0 = time.perf_counter()
     xs = (8, 12, 16, 24, 32)
-    i9, i12, i12r = [], [], []
-    counts = {x: {s: moment_count(x, s) for s in (6, 8, 10, 12)} for x in xs}
+    i9, i12, i12r, lows, ups = [], [], [], [], []
     for x in xs:
         est = moment_estimate(x, 9, 1e-3)
         assert est.converged, x
         # s -> log I_s is convex, so exact I6..I12 bracket I9
-        c = counts[x]
-        lower = max(c[8] ** 1.5 / c[6] ** 0.5, c[10] ** 1.5 / c[12] ** 0.5)
-        assert lower <= est.value <= (c[8] * c[10]) ** 0.5, x
+        lower, upper = ninth_moment_bracket(x)
+        assert lower <= est.value <= upper, x
         i9.append((x, est.value))
+        lows.append((x, lower))
+        ups.append((x, upper))
     for x in xs:
-        grid, exact = even_moment_exact(x, 12).value, counts[x][12]
+        grid, exact = even_moment_exact(x, 12).value, moment_count(x, 12)
         assert abs(grid - exact) <= 1e-9 * exact, x  # the counter's exact I12
         i12.append((x, grid))
     for x in xs:
@@ -144,7 +144,9 @@ def test_c06_minor_arc_moment_slopes():
     s12 = fit_powerlaw(i12).slope
     s12r = fit_powerlaw(i12r).slope
     ok = 4.6 <= s9 <= 5.8 and s12r <= 8.2 and s12 - s12r >= 0.3
-    line = _verdict(6, ok, f"I9 inside its exact bracket, slope {s9:.4f} in "
+    line = _verdict(6, ok, f"I9 inside its exact bracket (slopes "
+                           f"{fit_powerlaw(lows).slope:.4f} .. "
+                           f"{fit_powerlaw(ups).slope:.4f}), slope {s9:.4f} in "
                            f"[4.6,5.8], restricted I12 "
                            f"slope {s12r:.4f} <= 8.2, unrestricted exceeds by "
                            f"{s12 - s12r:.4f} >= 0.3", t0)

@@ -15,12 +15,14 @@ from wmvlab.counting import (
     beta_fourth_moment,
     brute_force_moment,
     moment_count,
+    ninth_moment_bracket,
     reciprocal_sum_bound,
     u_identity_rhs,
     vinogradov_count,
     vinogradov_j,
 )
 from wmvlab.phase import SCALE, FixedPhase, unit_terms
+from wmvlab.torusgrid import moment_estimate
 
 
 def _ordered_spectrum(X, h):
@@ -86,6 +88,17 @@ def test_moment_count_high_even_moments_match_the_counter_oracle():
         for X in range(2, 6):
             per_side = _sum_cube(_ordered_spectrum(X, h))
             assert moment_count(X, 2 * h) == _shared(per_side, per_side), (X, h)
+
+
+def test_ninth_moment_bracket_against_the_counter_oracle():
+    for X in range(1, 5):
+        i = {2 * h: _shared(*[_sum_cube(_ordered_spectrum(X, h))] * 2) for h in (3, 4, 5, 6)}
+        lower = max(i[8] ** 1.5 / i[6] ** 0.5, i[10] ** 1.5 / i[12] ** 0.5)
+        assert ninth_moment_bracket(X) == (lower, math.sqrt(i[8] * i[10])), X
+    # the grid's ninth moment lies inside its exact bracket
+    for X in (4, 8):
+        lower, upper = ninth_moment_bracket(X)
+        assert lower <= moment_estimate(X, 9, 1e-6).value <= upper, X
 
 
 def test_moment_matches_brute_force():

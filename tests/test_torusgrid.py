@@ -3,6 +3,7 @@ exactness, refinement, and minor-arc restriction."""
 
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -161,7 +162,7 @@ def test_rows_per_grid_after_the_fold(monkeypatch):
             (2, auto_spec_even(6, 6), lambda: restricted_profile(6, 5, [2], 1e-3)[0])):
         calls.clear()
         est = run()
-        levels = sorted(set(calls), key=lambda sp: sp.Mbeta)
+        levels = sorted(set(calls), key=lambda sp: sp.Malpha)
         assert levels[0] == start and levels[-1] == est.spec and len(levels) >= 2
         assert len(calls) == sum(sp.Mbeta // fold + 1 for sp in levels)
 
@@ -200,30 +201,71 @@ def test_moment_estimate_guards():
 
 
 def test_refine_reports_nonconvergence(monkeypatch):
-    # shrink the memory guard so the doubling loop must give up
+    # shrink the memory guard so the refinement ladder must give up
     monkeypatch.setattr(torusgrid, "MALPHA_GUARD", 256)
     est = moment_estimate(2, 3, 1e-12)
     assert not est.converged
     assert est.err_est > 0.0
 
 
+def _ladder(monkeypatch, run):
+    """The distinct grids a refinement visits, in order of Malpha."""
+    calls = []
+
+    def counted(X, spec, j):
+        calls.append(spec)
+        return amplitude_row(X, spec, j)
+
+    monkeypatch.setattr(torusgrid, "amplitude_row", counted)
+    run()
+    monkeypatch.undo()
+    return sorted(set(calls), key=lambda sp: sp.Malpha)
+
+
+def test_even_ladder_keeps_its_exact_beta_grid(monkeypatch):
+    from wmvlab.torusgrid import _grid_means
+    for X, s, Qs in ((6, 4, [2]), (8, 4, [2, 4]), (4, 6, [2])):
+        levels = _ladder(monkeypatch, lambda: restricted_profile(X, s, Qs, 1e-3))
+        mb = auto_spec_even(X, s).Mbeta
+        assert len(levels) >= 2 and all(sp.Mbeta == mb for sp in levels), (X, s)
+        assert [sp.Malpha for sp in levels] == [
+            levels[0].Malpha << k for k in range(len(levels))]
+    # the band-limited Mbeta already gives the exact beta mean of each alpha row
+    X, s, Q = 6, 4, 2
+    for spec in _ladder(monkeypatch, lambda: restricted_profile(X, s, [Q], 1e-3)):
+        keep = np.flatnonzero(arc_mask(spec, Q, X))
+        finer = GridSpec(spec.Malpha, spec.Mbeta * 2, X)
+        v = _grid_means(X, s, spec, [keep])[0]
+        assert v == pytest.approx(_grid_means(X, s, finer, [keep])[0], rel=1e-13, abs=0)
+
+
+def test_odd_ladder_confirms_on_a_non_nested_grid(monkeypatch):
+    levels = _ladder(monkeypatch, lambda: moment_estimate(2, 3, 1e-12))
+    assert levels[0] == auto_spec_start(2, 3) and len(levels) >= 4
+    for k, (a, b) in enumerate(zip(levels, levels[1:])):
+        ratio = Fraction(3, 2) if k % 2 == 0 else Fraction(4, 3)
+        assert Fraction(b.Malpha, a.Malpha) == ratio, k
+        assert Fraction(b.Mbeta, a.Mbeta) == ratio, k
+        assert b.Malpha % 2 == 0 and b.Mbeta % 2 == 0
+
+
 def test_refine_stops_before_a_level_past_the_points_guard(monkeypatch):
     from wmvlab.torusgrid import _grid_means
-    # moment_estimate(2, 3) folds its levels to 3 x 32 = 96, 5 x 64 = 320
-    # and 9 x 128 = 1,152 computed points; restricted_profile(8, 4) runs
-    # 17 x 2,048 = 34,816, then 33 x 4,096 = 135,168
-    first = auto_spec_start(2, 3)
-    second = GridSpec(first.Malpha * 2, first.Mbeta * 2, 2)
+    # moment_estimate(2, 3) folds its levels to 3 x 32 = 96, 4 x 48 = 192,
+    # 5 x 64 = 320, 7 x 96 = 672 and 9 x 128 = 1,152 computed points;
+    # restricted_profile(8, 4) keeps Mbeta = 32 and runs 17 x 2,048 = 34,816,
+    # then 17 x 4,096 = 69,632 and 17 x 8,192 = 139,264
+    fourth = GridSpec(96, 24, 2)
     monkeypatch.setattr(torusgrid, "GRID_POINTS_GUARD", 1000)
     est = moment_estimate(2, 3, 1e-12)
     assert not est.converged
-    assert est.spec == second
-    assert est.value == _grid_means(2, 3, second, [None])[0]
+    assert est.spec == fourth
+    assert est.value == _grid_means(2, 3, fourth, [None])[0]
     assert est.err_est > 0.0
 
     # one level ran, so there is no delta: refused, not a NaN error
-    monkeypatch.setattr(torusgrid, "GRID_POINTS_GUARD", 100_000)
-    with pytest.raises(ValueError, match="second grid level 4,096 x 64 .* points guard"):
+    monkeypatch.setattr(torusgrid, "GRID_POINTS_GUARD", 50_000)
+    with pytest.raises(ValueError, match="second grid level 4,096 x 32 .* points guard"):
         restricted_profile(8, 4, [2], 1e-12)
 
     # a first level past the guard is refused before any FFT
