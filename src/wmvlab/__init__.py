@@ -20,7 +20,6 @@ from .runcache import (CacheCorruption, CacheVersionMismatch, ResultCache,
                        RunRecord, append_records)
 from .runner import run_plan
 from .torusgrid import (GridSpec, MomentEstimate, amplitude_row, arc_mask,
-                        even_moment_exact, moment_estimate, restricted_moment,
-                        restricted_profile)
+                        even_moment_exact, moment_estimate, restricted_profile)
 
 __version__ = "0.1.0"

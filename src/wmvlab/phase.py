@@ -278,8 +278,9 @@ def eval_f(alpha: FixedPhase, k: int, X: int) -> complex:
     contract as eval_g.
 
     The stated working range is X^k < 2^64; inputs are accepted up to
-    X^k < 2^80 (phase error still < 2^-48) and X < 2^32 (the limb multiply
-    takes one factor x per step) and rejected beyond that.
+    X^k < 2^80 (phase error still < 2^-48), X < 2^32 (the limb multiply
+    takes one factor x per step) and X <= 10^8 terms (about 40 s), and
+    rejected beyond that.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -287,6 +288,8 @@ def eval_f(alpha: FixedPhase, k: int, X: int) -> complex:
         raise ValueError("X must be positive")
     if X >= _X_CAP_LIMB:
         raise ValueError("X must be below 2^32 (the limb multiply takes x < 2^32)")
+    if X > 10 ** 8:  # about 0.4 us per term: 40 s at the cap
+        raise ValueError(f"X = {X:,} terms exceeds the 10^8 term cap")
     if X ** k >= _N_CAP:
         raise ValueError("x^k overflows the multiplier cap (X^k >= 2^80)")
     return _unit_sum(phase_limbs(alpha.frac, x, k) for x in _blocks(1, X))

@@ -115,8 +115,7 @@ def _x_sweep(op: str, evaluate: Callable[..., Result], tol: bool = False) -> Han
     return sweep
 
 
-def _estimate(X: int, s: int, tol: float) -> Result:
-    est = torusgrid.moment_estimate(X, s, tol)
+def _result(est: torusgrid.MomentEstimate) -> Result:
     return repr(est.value), est.err_est, est.exact
 
 
@@ -127,8 +126,7 @@ def _restricted_sweep(session: _Session, opt: Dict[str, str]) -> List[RunRecord]
     qs = _parse_int_list(opt["q"], opt.get("step"))
     keys = [("restricted_moment", {"X": x, "s": s, "Q": q, "tol": tol}) for q in qs]
     return session.cached(keys, lambda: [
-        (repr(est.value), est.err_est, est.exact)
-        for est in torusgrid.restricted_profile(x, s, qs, tol)])
+        _result(est) for est in torusgrid.restricted_profile(x, s, qs, tol)])
 
 
 def _bounds_compare(session: _Session, opt: Dict[str, str]) -> List[RunRecord]:
@@ -180,7 +178,8 @@ _HANDLERS: Dict[str, Handler] = {
     "count-sweep": _moment_counts,
     "vinogradov-sweep": _x_sweep("vinogradov_count", lambda X, s: (
         str(counting.vinogradov_count(X, s)), None, True)),
-    "grid-sweep": _x_sweep("moment_estimate", _estimate, tol=True),
+    "grid-sweep": _x_sweep("moment_estimate", lambda X, s, tol: _result(
+        torusgrid.moment_estimate(X, s, tol)), tol=True),
     "restricted-sweep": _restricted_sweep,
     "bounds-compare": _bounds_compare,
     "lemma22-identity": _lemma22_identity,

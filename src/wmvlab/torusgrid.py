@@ -16,10 +16,11 @@ Weights multiply exactly, so folding moves a mean only by FFT roundoff.
 
 For even s the integrand |g|^s is a trigonometric polynomial with alpha
 frequencies bounded by (s/2)X^3 and beta frequencies by (s/2)X, so the plain
-grid mean is the exact integral once the grid exceeds those band limits;
-moment_estimate takes even s straight to that one grid.
-Odd moments (and minor-arc restrictions, whose masks break band-limitedness)
-are refined from the band-limited grid of the next even moment s + s % 2
+grid mean is the exact integral once the grid exceeds those band limits.
+One driver, _refine, picks, prices and sums every grid.  It starts each
+ladder on the band-limited grid of the next even moment s + s % 2, where an
+unmasked even moment is exact and stops.  Odd moments (and minor-arc
+restrictions, whose masks break band-limitedness) are refined from there
 until successive levels agree.  Even s keeps that grid's Mbeta, exact in
 beta for every alpha, and doubles Malpha; odd s steps both sizes by 3/2 and
 4/3 in turn, so each confirming grid is not nested in the one it checks.
@@ -165,16 +166,6 @@ def _grid_means(X: int, s: int, spec: GridSpec,
     return [math.fsum(t) / (spec.Malpha * spec.Mbeta) for t in totals]
 
 
-def even_moment_exact(X: int, s: int) -> MomentEstimate:
-    """The s-th moment (s even) by band-limited quadrature: exact up to
-    floating-point roundoff, no refinement needed."""
-    if s < 2 or s % 2:
-        raise ValueError("s must be a positive even integer")
-    spec = auto_spec_even(X, s)
-    value = _grid_means(X, s, spec, [None])[0]
-    return MomentEstimate(value, 0.0, True, spec)
-
-
 def _next_level(spec: GridSpec, s: int) -> GridSpec:
     """The grid that confirms `spec` on the refinement ladder.  Even s keeps
     Mbeta, whose beta mean is already exact, and doubles Malpha.  Odd s steps
@@ -188,16 +179,24 @@ def _next_level(spec: GridSpec, s: int) -> GridSpec:
 
 
 def _refine(X: int, s: int, cutoffs: Sequence[Optional[Fraction]], tol: float
-            ) -> Tuple[List[float], List[float], GridSpec, bool]:
-    """Means of |g|^s over the alpha rows minor at each cutoff Q (None: all),
-    stepping the grid by _next_level from auto_spec_start(X, s) until each
-    is within tol of the last level's.  Returns (values, deltas, final spec,
-    converged).
+            ) -> List[MomentEstimate]:
+    """The quadrature driver: means of |g|^s over the alpha rows minor at
+    each cutoff Q (None: all), one MomentEstimate per cutoff on a common
+    final grid.  The ladder starts on auto_spec_start(X, s), where an
+    unmasked even moment is exact and comes back as that one level (err_est
+    0).  Other ladders step by _next_level until each value is within tol of
+    the last level's, and carry that delta as err_est.
 
     A level past MALPHA_GUARD, or whose computed rows x Malpha pass
     GRID_POINTS_GUARD, is not run: the last level's values, deltas and spec
-    come back with converged=False.  If that leaves fewer than two levels to
-    compare, the ladder raises instead."""
+    come back with converged=False.  If that leaves no exact level, or fewer
+    than two levels to compare, the driver raises instead."""
+    if s < 1:
+        raise ValueError("s must be >= 1")
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    if not cutoffs:
+        return []
     half = all(T is None for T in cutoffs)
     spec = auto_spec_start(X, s)
     values: Optional[List[float]] = None
@@ -208,33 +207,36 @@ def _refine(X: int, s: int, cutoffs: Sequence[Optional[Fraction]], tol: float
         keeps = [None if T is None else np.flatnonzero(arc_mask(spec, T, X))
                  for T in cutoffs]
         new = _grid_means(X, s, spec, keeps)
+        if half and s % 2 == 0:
+            return [MomentEstimate(v, 0.0, True, spec) for v in new]
         if values is not None:
             errs = [abs(v - p) / max(abs(v), 1e-300) for v, p in zip(new, values)]
             if max(errs) <= tol:
-                return new, errs, spec, True
+                return [MomentEstimate(v, e, False, spec) for v, e in zip(new, errs)]
         values, last = new, spec
         spec = _next_level(spec, s)
-    if not errs:  # fewer than two levels ran, so there is no delta
+    if not errs:  # no exact level and fewer than two levels ran: no delta
         raise ValueError(f"{'second' if values else 'first'} grid level {spec.Malpha:,} x "
                          f"{spec.Mbeta:,} exceeds the 2^28 Malpha or 2^30 points guard")
-    return values, errs, last, False
+    return [MomentEstimate(v, e, False, last, False) for v, e in zip(values, errs)]
 
 
 def moment_estimate(X: int, s: int, tol: float) -> MomentEstimate:
-    """I_s(X) for every integer s >= 1.
+    """I_s(X) for every integer s >= 1, by the driver _refine.
 
-    Even s is even_moment_exact: one band-limited grid, flagged exact, with
-    no refinement and tol unused.  Odd s is refined on grids stepped by 3/2
-    and 4/3 in turn and carries the last step's delta as its heuristic
-    error."""
-    if s < 1:
-        raise ValueError("s must be >= 1")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    if s % 2 == 0:
-        return even_moment_exact(X, s)
-    (value,), (err,), spec, converged = _refine(X, s, [None], tol)
-    return MomentEstimate(value, err, False, spec, converged)
+    Even s is one band-limited grid, flagged exact, with no refinement and
+    tol unused.  Odd s is refined on grids stepped by 3/2 and 4/3 in turn
+    and carries the last step's delta as its heuristic error."""
+    return _refine(X, s, [None], tol)[0]
+
+
+def even_moment_exact(X: int, s: int) -> MomentEstimate:
+    """The s-th moment (s even) by band-limited quadrature: moment_estimate's
+    one exact level, exact up to floating-point roundoff, behind the same
+    grid guards as every ladder."""
+    if s < 2 or s % 2:
+        raise ValueError("s must be a positive even integer")
+    return _refine(X, s, [None], math.inf)[0]
 
 
 def arc_mask(spec: GridSpec, Q: RealLike, X: int) -> np.ndarray:
@@ -264,28 +266,16 @@ def arc_mask(spec: GridSpec, Q: RealLike, X: int) -> np.ndarray:
     return minor
 
 
-def restricted_moment(X: int, s: int, Q: RealLike, tol: float) -> MomentEstimate:
-    """Minor-arc moment I_s^*(X; Q): the grid mean of |g|^s over alpha rows
-    classified minor at (Q, X), refined by _refine's ladder (even s doubles
-    Malpha on its exact Mbeta).  1 <= Q <= X."""
-    est = restricted_profile(X, s, [Q], tol)
-    return est[0]
-
-
 def restricted_profile(X: int, s: int, Qs: Sequence[RealLike],
                        tol: float) -> List[MomentEstimate]:
-    """restricted_moment for several cutoffs on one shared sequence of
-    grids: rows are computed once per level and re-used for every mask.
-    All cutoffs are refined until the worst one stabilizes, so the returned
-    values live on a common final grid and inherit exact mask nesting
-    (larger Q never yields a larger value)."""
-    if s < 1:
-        raise ValueError("s must be >= 1")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    """Minor-arc moments I_s^*(X; Q), 1 <= Q <= X: grid means of |g|^s over
+    the alpha rows minor at (Q, X), refined by _refine on one shared ladder
+    (even s doubles Malpha on its exact Mbeta).  Rows are computed once per
+    level and re-used for every mask, and all cutoffs are refined until the
+    worst one stabilizes, so the values share a final grid and inherit exact
+    mask nesting (larger Q never yields a larger value).  Empty Qs: []."""
     fracs = [Fraction(Q) for Q in Qs]
     for T in fracs:
         if T < 1 or T > X:
             raise ValueError("each Q must lie in [1, X]")
-    values, errs, spec, converged = _refine(X, s, fracs, tol)
-    return [MomentEstimate(v, e, False, spec, converged) for v, e in zip(values, errs)]
+    return _refine(X, s, fracs, tol)

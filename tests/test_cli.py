@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import wmvlab
-from wmvlab import counting, runner
+from wmvlab import counting, runner, torusgrid
 from wmvlab.cli import main, parse_alpha
 from wmvlab.phase import SCALE
 from wmvlab.runcache import CSV_HEADER
@@ -55,6 +55,26 @@ def test_grid_reports_exactness(capsys):
     out = capsys.readouterr().out
     assert "moment_estimate(X=4, s=4)" in out
     assert "exact=True" in out
+
+
+def test_grid_past_the_guards_is_refused_before_any_work(tmp_path, monkeypatch, capsys):
+    def refuse(X, spec, j):
+        raise AssertionError("grid work started")
+
+    monkeypatch.setattr(torusgrid, "amplitude_row", refuse)
+    # I12 at X = 100 is exact on 2^23 x 1,024: 257 folded rows, 2.2e9 points
+    refusal = "first grid level 8,388,608 x 1,024 exceeds the 2^28 Malpha or 2^30 points guard"
+    assert run_cli("grid", "--X", "100", "--s", "12") == 1
+    assert refusal in capsys.readouterr().err
+
+    plan = tmp_path / "plan.ini"
+    plan.write_text("[grid-sweep]\nx = 100\ns = 12\n")
+    out, cache = tmp_path / "out.csv", tmp_path / "cache"
+    assert run_cli("run", "--config", str(plan), "--out", str(out),
+                   "--cache-dir", str(cache)) == 1
+    assert refusal in capsys.readouterr().err
+    assert not out.exists()
+    assert not cache.exists() or not any(cache.iterdir())
 
 
 def test_restricted_prints_each_cutoff(capsys):

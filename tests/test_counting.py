@@ -122,6 +122,12 @@ def test_brute_force_examples_and_guards():
         brute_force_moment(4, 10)
     with pytest.raises(ValueError):
         brute_force_moment(5, 5)
+    # at most 10^7 tuples: 8^8 and 12^8 are refused before enumerating,
+    # 7^8 still runs (12^6 runs in the acceptance suite's c01)
+    for X in (8, 12):
+        with pytest.raises(ValueError, match=f"{X ** 8:,} tuples exceeds the 10\\^7"):
+            brute_force_moment(X, 8)
+    assert brute_force_moment(7, 8) == moment_count(7, 8)
 
 
 def test_closed_forms():

@@ -257,6 +257,16 @@ def test_eval_f_limb_guard():
         eval_f(ZERO, 2, (1 << 32) + 5)
 
 
+def test_eval_f_term_cap(monkeypatch):
+    # more than 10^8 terms is refused before the kernel sums any
+    def refuse(terms):
+        raise AssertionError("eval_f started summing")
+
+    monkeypatch.setattr(phase, "_unit_sum", refuse)
+    with pytest.raises(ValueError, match="100,000,001 terms exceeds the 10\\^8"):
+        eval_f(ZERO, 1, 10 ** 8 + 1)
+
+
 def test_periodicity_bit_for_bit():
     rng = random.Random(23)
     for _ in range(20):

@@ -20,7 +20,6 @@ from wmvlab.torusgrid import (
     auto_spec_start,
     even_moment_exact,
     moment_estimate,
-    restricted_moment,
     restricted_profile,
 )
 
@@ -95,7 +94,26 @@ def test_even_moment_guards():
     with pytest.raises(ValueError):
         even_moment_exact(5, 3)
     with pytest.raises(ValueError):
-        even_moment_exact(500, 6)  # 3X^3 past amplitude_row's 2^28 guard
+        even_moment_exact(500, 6)  # 3X^3 past the driver's 2^28 Malpha gate
+
+
+def _no_grid_work(monkeypatch):
+    def refuse(X, spec, j):
+        raise AssertionError(f"grid work started on {spec}")
+
+    monkeypatch.setattr(torusgrid, "amplitude_row", refuse)
+
+
+def test_even_moments_pass_the_drivers_first_level_gate(monkeypatch):
+    _no_grid_work(monkeypatch)
+    # 257 rows x 2^23 (X = 100) and 513 rows x 2^28 (X = 300) computed points
+    for X in (100, 300):
+        with pytest.raises(ValueError, match="first grid level .* 2\\^28 Malpha or 2\\^30 points"):
+            even_moment_exact(X, 12)
+    monkeypatch.setattr(torusgrid, "GRID_POINTS_GUARD", 50)
+    for run in (lambda: even_moment_exact(2, 4), lambda: moment_estimate(2, 4, 1e-6)):
+        with pytest.raises(ValueError, match="first grid level"):
+            run()
 
 
 def test_doubling_past_nyquist_is_stable():
@@ -321,7 +339,7 @@ def test_arc_mask_guards():
 def test_restricted_le_unrestricted():
     for X, s, Q in ((4, 4, 2), (8, 4, 1), (6, 6, 3)):
         full = even_moment_exact(X, s).value
-        part = restricted_moment(X, s, Q, 1e-3).value
+        part = restricted_profile(X, s, [Q], 1e-3)[0].value
         assert part <= full * (1 + 1e-9)
 
 
@@ -335,7 +353,7 @@ def test_restricted_monotone_on_shared_grid():
 
 def test_restricted_against_masked_direct_oracle():
     """Q=1, X=8, s=4: direct masked quadrature on the final grid."""
-    est = restricted_moment(8, 4, 1, 1e-3)
+    est = restricted_profile(8, 4, [1], 1e-3)[0]
     spec = est.spec
     X = 8
     x = np.arange(1, X + 1)
@@ -359,6 +377,11 @@ def test_restricted_profile_guards():
         restricted_profile(8, 4, [0.5], 1e-3)
     with pytest.raises(ValueError):
         restricted_profile(8, 0, [2], 1e-3)
+
+
+def test_restricted_profile_of_no_cutoffs_is_empty(monkeypatch):
+    _no_grid_work(monkeypatch)
+    assert restricted_profile(8, 4, [], 1e-3) == []
 
 
 def test_auto_spec_choices():
