@@ -73,9 +73,8 @@ class HCount:
 
 
 def theta_quantity(q: int, X: int, k: int) -> float:
-    """1/q + 1/X^3 + q/X^k: the variant that depends on q alone."""
-    _check_qxk(q, X, k)
-    return 1.0 / q + 1.0 / X ** 3 + q / float(X) ** k
+    """1/q + 1/X^3 + q/X^k, the variant that depends on q alone: phi at 0."""
+    return phi_quantity(q, 0.0, X, k)
 
 
 def phi_quantity(q: int, delta: float, X: int, k: int) -> float:

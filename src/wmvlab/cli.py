@@ -2,7 +2,8 @@
 
 Subcommands: count, grid, restricted, arcs, bounds, identity, fit, run.
 count, grid, restricted, `bounds compare`, identity and run take --out (CSV
-target) and --cache-dir; `bounds curves` takes --out alone.  `bounds
+target) and --cache-dir; `bounds compare --alpha` prints one angle's bound
+table and refuses both, and `bounds curves` takes --out alone.  `bounds
 compare` and `identity` also take --seed for their sampled angles.
 Exit status: 0 all good, 2 a check failed, 1 execution error.
 """
@@ -15,11 +16,11 @@ import sys
 from typing import List, Optional, Tuple
 
 from . import bounds as bounds_mod
-from . import counting, fitting
+from . import fitting
 from .arcs import classify
 from .phase import SCALE, FixedPhase
-from .runcache import RunRecord, append_records
-from .runner import run_items, run_plan
+from .runcache import RunRecord
+from .runner import LIST_CAP, run_items, run_plan
 
 
 class _Parser(argparse.ArgumentParser):
@@ -49,19 +50,12 @@ def _common(sub: argparse.ArgumentParser) -> None:
 def _run_item(args, kind: str, **opt) -> Tuple[int, List[RunRecord]]:
     """Run one plan item, appending its records to --out; returns
     (failed identity checks, records)."""
-    failures, records = run_items([(kind, {k: str(v) for k, v in opt.items()})],
-                                  args.cache_dir)
-    if args.out:
-        append_records(args.out, records)
-    return failures, records
+    return run_items([(kind, {k: str(v) for k, v in opt.items()})],
+                     args.cache_dir, args.out)
 
 
 def _cmd_count(args) -> int:
-    if args.op == "brute":
-        value = counting.brute_force_moment(args.X, args.s)
-        print(f"brute_force_moment(X={args.X}, s={args.s}) = {value}")
-        return 0
-    kind = "vinogradov-sweep" if args.op == "vinogradov" else "count-sweep"
+    kind = {"moment": "count"}.get(args.op, args.op) + "-sweep"
     for rec in _run_item(args, kind, x=args.X, s=args.s)[1]:
         print(f"{rec.op}(X={rec.params['X']}, s={rec.params['s']}) = {rec.value}")
     return 0
@@ -93,6 +87,9 @@ def _cmd_arcs(args) -> int:
 def _cmd_bounds(args) -> int:
     if args.bounds_cmd == "compare":
         if args.alpha is not None:
+            if args.out is not None or args.cache_dir is not None:
+                raise ValueError("--alpha prints one angle's bound table, which the CSV "
+                                 "schema cannot hold: it takes neither --out nor --cache-dir")
             cmp_ = bounds_mod.bound_values(parse_alpha(args.alpha), args.X,
                                            args.k, args.eps)
             print(f"thm13     = {cmp_.thm13:.6g}")
@@ -128,6 +125,8 @@ def _theta_grid(spec: str) -> List[float]:
     if step <= 0:
         raise ValueError("step must be positive")
     n = int(round((hi - lo) / step))
+    if n + 1 > LIST_CAP:
+        raise ValueError(f"a theta grid of {n + 1:,} values exceeds the {LIST_CAP:,} cap")
     grid = [lo + i * step for i in range(n + 1)]
     return [t for t in grid if t <= hi + 1e-12]
 

@@ -2,17 +2,20 @@
 
 Phases live on the torus [0,1) as 128-bit binary fractions, so frac(n*alpha)
 is computed by exact integer multiplication modulo 2^128 instead of lossy
-binary64 reduction (x^3*alpha for x near 2^21 would lose ~63 bits in a
-double).  The sums run through one numpy kernel: `phase_limbs` forms each
-term's phase exactly as two uint64 limbs from 32-bit limb products with
+binary64 reduction (x^3*alpha for x near 2^21 would already lose ~63 bits
+in a double).  The sums run through one numpy kernel: `phase_limbs` forms
+each term's phase exactly as two uint64 limbs from 32-bit limb products with
 carries, and `unit_terms` folds it into the first quadrant with 128-bit
 borrows and exact quarter points before taking cos and sin.  A phase and
 its negative fold to the same bits, which makes complex conjugation an
 exact bit-level symmetry of eval_g/eval_f.  Terms are added with math.fsum,
 so every sum is correctly rounded and independent of term order; blocks of
-at most BLOCK_TERMS terms bound the memory without changing any sum.  The
-scalar `unit` is the reference the kernel is tested against.  The same limb
-arithmetic serves `bounds.k_counts` and `counting.reciprocal_sum_bound`.
+at most BLOCK_TERMS terms bound the memory without changing any sum.
+eval_g and eval_f share one working range, eval_g counting as k = 3:
+1 <= X <= 10^8 terms, which keeps x below 2^32 as the limb multiply needs,
+and X^k < 2^80.  The scalar `unit` is the reference the kernel is tested
+against.  The same limb arithmetic serves `bounds.k_counts` and
+`counting.reciprocal_sum_bound`.
 """
 
 from __future__ import annotations
@@ -35,9 +38,6 @@ _THREE_QUARTER = _QUARTER * 3
 # 2^-64); the cap is set wider so that x^k for k=6, X=2048 (x^k < 2^67) stays
 # evaluable, at phase error still below 2^-48.
 _N_CAP = 1 << 80
-
-_X_CAP_G = 1 << 21  # keeps x^3 <= 2^63
-_X_CAP_LIMB = 1 << 32  # a limb product a*x + carry stays below 2^64
 
 BLOCK_TERMS = 1 << 16  # terms per kernel call
 _M32 = 0xFFFFFFFF
@@ -249,47 +249,42 @@ def _blocks(lo: int, hi: int) -> Iterable[np.ndarray]:
         yield np.arange(start, min(start + BLOCK_TERMS, hi + 1), dtype=np.int64)
 
 
-def _check_span(X: int, span) -> Tuple[int, int]:
-    if span is None:
-        return 1, X
-    lo, hi = span
-    if not (1 <= lo and hi <= X):
-        raise ValueError("span must lie inside [1, X]")
-    return lo, hi
+def _check_range(k: int, X: int) -> None:
+    """The one working range of eval_g (k = 3) and eval_f.  The stated range
+    is X^k < 2^64 (phase error < 2^-64); X^k < 2^80 is admitted (phase error
+    still < 2^-48).  The term cap also keeps x below 2^32, so a limb product
+    a*x plus its carry stays below 2^64."""
+    if X < 1:
+        raise ValueError("X must be positive")
+    if X > 10 ** 8:  # about 0.4 us (eval_f) to 0.55 us (eval_g) a term: 40-55 s
+        raise ValueError(f"X = {X:,} terms exceeds the 10^8 term cap")
+    if X ** k >= _N_CAP:
+        raise ValueError("x^k overflows the multiplier cap (X^k >= 2^80)")
 
 
 def eval_g(alpha: FixedPhase, beta: FixedPhase, X: int,
            span: Tuple[int, int] | None = None) -> complex:
     """Sum of e(alpha*x^3 + beta*x) for x in span (default [1, X]).
 
-    X <= 2^21 so that x^3 <= 2^63.  Phases are exact mod 2^128, each term
-    comes from the unit-circle kernel, and the real and imaginary parts are
-    math.fsum sums: correctly rounded and independent of term order.
+    X lies in the working range that eval_f has at k = 3: at most 10^8
+    terms and X^3 < 2^80.  Phases are exact mod 2^128, each term comes from
+    the unit-circle kernel, and the real and imaginary parts are math.fsum
+    sums: correctly rounded and independent of term order.
     """
-    if not 1 <= X <= _X_CAP_G:
-        raise ValueError("X must satisfy 1 <= X <= 2^21 (cube overflow guard)")
-    lo, hi = _check_span(X, span)
+    _check_range(3, X)
+    lo, hi = (1, X) if span is None else span
+    if not (1 <= lo and hi <= X):
+        raise ValueError("span must lie inside [1, X]")
     return _unit_sum(add_limbs(phase_limbs(alpha.frac, x, 3), phase_limbs(beta.frac, x))
                      for x in _blocks(lo, hi))
 
 
 def eval_f(alpha: FixedPhase, k: int, X: int) -> complex:
-    """Sum of e(alpha*x^k) for 1 <= x <= X, by the same kernel and fsum
-    contract as eval_g.
-
-    The stated working range is X^k < 2^64; inputs are accepted up to
-    X^k < 2^80 (phase error still < 2^-48), X < 2^32 (the limb multiply
-    takes one factor x per step) and X <= 10^8 terms (about 40 s), and
-    rejected beyond that.
+    """Sum of e(alpha*x^k) for 1 <= x <= X, by the same kernel, fsum
+    contract and working range as eval_g: at most 10^8 terms and
+    X^k < 2^80, refused beyond that before any term is summed.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    if X < 1:
-        raise ValueError("X must be positive")
-    if X >= _X_CAP_LIMB:
-        raise ValueError("X must be below 2^32 (the limb multiply takes x < 2^32)")
-    if X > 10 ** 8:  # about 0.4 us per term: 40 s at the cap
-        raise ValueError(f"X = {X:,} terms exceeds the 10^8 term cap")
-    if X ** k >= _N_CAP:
-        raise ValueError("x^k overflows the multiplier cap (X^k >= 2^80)")
+    _check_range(k, X)
     return _unit_sum(phase_limbs(alpha.frac, x, k) for x in _blocks(1, X))

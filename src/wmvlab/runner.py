@@ -32,6 +32,7 @@ from .phase import FixedPhase
 from .runcache import Key, ResultCache, RunRecord, append_records, new_run_id
 
 IDENTITY_REL_TOL = 1e-8
+LIST_CAP = 10 ** 6  # values in a list from outside input, sized before it is built
 
 Item = Tuple[str, Dict[str, str]]  # (kind, options) of one plan section
 Result = Tuple[str, Optional[float], Optional[bool]]  # (value, err_est, exact)
@@ -58,9 +59,12 @@ def _parse_int_list(text: str, step: Optional[str] = None) -> List[int]:
     text = text.strip()
     if ".." in text:
         lo, hi = text.split("..", 1)
-        inc = int(step) if step else 1
-        return list(range(int(lo), int(hi) + 1, inc))
-    return [int(p) for p in text.split(",") if p.strip()]
+        values = range(int(lo), int(hi) + 1, int(step) if step else 1)
+    else:
+        values = [int(p) for p in text.split(",") if p.strip()]
+    if len(values) > LIST_CAP:
+        raise ValueError(f"a list of {len(values):,} values exceeds the {LIST_CAP:,} cap")
+    return list(values)
 
 
 class _Session:
@@ -178,6 +182,8 @@ _HANDLERS: Dict[str, Handler] = {
     "count-sweep": _moment_counts,
     "vinogradov-sweep": _x_sweep("vinogradov_count", lambda X, s: (
         str(counting.vinogradov_count(X, s)), None, True)),
+    "brute-sweep": _x_sweep("brute_force_moment", lambda X, s: (
+        str(counting.brute_force_moment(X, s)), None, True)),
     "grid-sweep": _x_sweep("moment_estimate", lambda X, s, tol: _result(
         torusgrid.moment_estimate(X, s, tol)), tol=True),
     "restricted-sweep": _restricted_sweep,
@@ -186,10 +192,11 @@ _HANDLERS: Dict[str, Handler] = {
 }
 
 
-def run_items(items: Sequence[Item],
-              cache_dir: Optional[str] = None) -> Tuple[int, List[RunRecord]]:
+def run_items(items: Sequence[Item], cache_dir: Optional[str] = None,
+              out: Optional[str] = None) -> Tuple[int, List[RunRecord]]:
     """Run plan items in order, through the result cache in `cache_dir` if
-    given; returns (failed identity checks, records).
+    given; returns (failed identity checks, records).  Once every item has
+    run, the records are appended to the CSV at `out` in item order.
 
     Every kind is checked before anything runs: an unknown one raises
     PlanError.  Each item's records are one cache group, and one cache
@@ -203,6 +210,8 @@ def run_items(items: Sequence[Item],
     records: List[RunRecord] = []
     for kind, opt in items:
         records.extend(_HANDLERS[kind](session, opt))
+    if out:
+        append_records(out, records)
     return session.failures, records
 
 
@@ -213,9 +222,7 @@ def run_plan(config_path: str, out: Optional[str] = None,
     Status 0: everything ran and all checks passed.  Status 2: at least one
     identity check failed.  Malformed plans raise PlanError (the CLI turns
     any exception into status 1).  Records are appended to the CSV at `out`
-    through a single writer, in plan order.
+    by run_items, in plan order.
     """
-    failures, records = run_items(load_plan(config_path), cache_dir)
-    if out:
-        append_records(out, records)
+    failures, records = run_items(load_plan(config_path), cache_dir, out)
     return (2 if failures else 0), records

@@ -1,9 +1,9 @@
 """FFT quadrature for moments of |g| on the 2-torus.
 
-One beta row at a time: scatter the linear phases e(beta x) into buckets
-indexed by x^3 mod Malpha, and a single inverse FFT of length Malpha yields
-|g| at every alpha grid point of that row.  Memory stays O(Malpha); the full
-2-D grid is never materialized.
+One beta row at a time: place the linear phases e(beta x) in buckets
+indexed by x^3 (distinct and below Malpha > 2X^3), and a single inverse FFT
+of length Malpha yields |g| at every alpha grid point of that row.  Memory
+stays O(Malpha); the full 2-D grid is never materialized.
 
 Most rows repeat others: conjugation gives |g(-alpha, -beta)| = |g|, and
 x^3 = x (mod 2) gives g(alpha + 1/2, beta + 1/2) = g, so the sum of |g|^s
@@ -98,7 +98,7 @@ def amplitude_row(X: int, spec: GridSpec, j_beta: int) -> np.ndarray:
     """|g(i/Malpha, j_beta/Mbeta; X)| for all i, via one inverse FFT.
 
     g at the row's grid points is sum_x e(j x / Mbeta) e(i x^3 / Malpha);
-    bucketing the x-weights at x^3 mod Malpha makes the i-dependence a pure
+    placing the x-weights at index x^3 makes the i-dependence a pure
     inverse DFT (numpy's backward normalization supplies 1/Malpha, undone by
     the Malpha factor below).
     """
@@ -114,10 +114,9 @@ def amplitude_row(X: int, spec: GridSpec, j_beta: int) -> np.ndarray:
 def _bucket_row(X: int, spec: GridSpec, j_beta: int) -> np.ndarray:
     x = np.arange(1, X + 1, dtype=np.int64)
     angles = 2.0 * np.pi * ((j_beta * x) % spec.Mbeta) / spec.Mbeta
-    weights = np.exp(1j * angles)
-    idx = (x * x * x) % spec.Malpha
     bucket = np.zeros(spec.Malpha, dtype=np.complex128)
-    np.add.at(bucket, idx, weights)
+    # GridSpec's floor Malpha >= 2X^3 + 1: every x^3 is its own bucket
+    bucket[x * x * x] = np.exp(1j * angles)
     return bucket
 
 
@@ -193,7 +192,7 @@ def _refine(X: int, s: int, cutoffs: Sequence[Optional[Fraction]], tol: float
     than two levels to compare, the driver raises instead."""
     if s < 1:
         raise ValueError("s must be >= 1")
-    if tol <= 0:
+    if not tol > 0:  # also refuses a NaN tol, which no delta would meet
         raise ValueError("tol must be positive")
     if not cutoffs:
         return []

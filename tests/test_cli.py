@@ -38,6 +38,28 @@ def test_count_moment_and_brute(capsys):
     assert f"= {counting.brute_force_moment(4, 4)}" in out
 
 
+def test_count_brute_writes_its_record_and_replays_it(tmp_path, monkeypatch, capsys):
+    cache = tmp_path / "d"
+
+    def run(out):
+        assert run_cli("count", "--X", "6", "--s", "4", "--op", "brute",
+                       "--out", str(out), "--cache-dir", str(cache)) == 0
+        assert "brute_force_moment(X=6, s=4) = 66" in capsys.readouterr().out
+        rows = list(csv.reader(out.read_text().splitlines()))
+        assert rows[0] == CSV_HEADER
+        return [row[1:] for row in rows[1:]]  # all but run_id
+
+    first = run(tmp_path / "f.csv")
+    assert [row[:-1] for row in first] == [
+        ["brute_force_moment", "6", "4", "", "", "", "66", "", "true"]]
+
+    def refuse(X, s):
+        raise AssertionError("brute force recomputed")
+
+    monkeypatch.setattr(counting, "brute_force_moment", refuse)
+    assert run(tmp_path / "g.csv") == first
+
+
 def test_count_vinogradov_writes_csv(tmp_path, capsys):
     out = tmp_path / "v.csv"
     assert run_cli("count", "--X", "3", "--s", "6", "--op", "vinogradov",
@@ -77,6 +99,20 @@ def test_grid_past_the_guards_is_refused_before_any_work(tmp_path, monkeypatch, 
     assert not cache.exists() or not any(cache.iterdir())
 
 
+def test_nan_tol_is_refused_before_any_work(tmp_path, monkeypatch, capsys):
+    def refuse(X, spec, j):
+        raise AssertionError("grid work started")
+
+    monkeypatch.setattr(torusgrid, "amplitude_row", refuse)
+    plan = tmp_path / "plan.ini"
+    plan.write_text("[grid-sweep]\nx = 2\ns = 3\ntol = nan\n")
+    for argv in (["grid", "--X", "2", "--s", "3", "--tol", "nan"],
+                 ["restricted", "--X", "4", "--s", "4", "--Q", "2", "--tol", "nan"],
+                 ["run", "--config", str(plan)]):
+        assert run_cli(*argv) == 1
+        assert "tol must be positive" in capsys.readouterr().err
+
+
 def test_restricted_prints_each_cutoff(capsys):
     assert run_cli("restricted", "--X", "6", "--s", "4", "--Q", "2,4") == 0
     out = capsys.readouterr().out.splitlines()
@@ -112,6 +148,27 @@ def test_bounds_compare_sampled_trials(tmp_path, capsys):
     assert "bound_calibration" in printed
     rows = list(csv.reader(open(out, newline="")))
     assert len(rows) == 4  # header + 2 samples + calibration
+
+
+def test_bounds_compare_single_angle_refuses_out_and_cache_dir(tmp_path, capsys):
+    # one angle's bound table does not fit the CSV schema, so nothing is written
+    out, cache = tmp_path / "b.csv", tmp_path / "cache"
+    for flags in (["--out", str(out)], ["--cache-dir", str(cache)],
+                  ["--out", str(out), "--cache-dir", str(cache)]):
+        assert run_cli("bounds", "compare", "--X", "64", "--alpha", "1/7", *flags) == 1
+        captured = capsys.readouterr()
+        assert "CSV schema cannot hold" in captured.err
+        assert captured.out == ""
+    assert not out.exists()
+    assert not cache.exists()
+
+
+def test_lists_past_the_value_cap_are_refused(capsys):
+    assert run_cli("bounds", "curves", "--theta", "0:3:1e-12") == 1
+    assert "theta grid of 3,000,000,000,001 values exceeds the 1,000,000 cap" \
+        in capsys.readouterr().err
+    assert run_cli("restricted", "--X", "8", "--Q", "1..1000000000") == 1
+    assert "1,000,000,000 values exceeds the 1,000,000 cap" in capsys.readouterr().err
 
 
 def test_bounds_curves_stdout_and_file(tmp_path, capsys):

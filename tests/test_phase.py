@@ -236,9 +236,13 @@ def test_eval_f_examples():
     assert eval_f(quarter, 1, 4) == 0 + 0j  # full 4th-root cycle, exact points
 
 
-def test_eval_guards():
-    with pytest.raises(ValueError):
-        eval_g(ZERO, ZERO, (1 << 21) + 1)
+def test_eval_guards(monkeypatch):
+    def refuse(terms):
+        raise AssertionError("a sum started")
+
+    monkeypatch.setattr(phase, "_unit_sum", refuse)
+    with pytest.raises(ValueError, match="10\\^8 term cap"):
+        eval_g(ZERO, ZERO, 10 ** 8 + 1)
     with pytest.raises(ValueError):
         eval_g(ZERO, ZERO, 10, span=(0, 5))
     with pytest.raises(ValueError):
@@ -250,10 +254,11 @@ def test_eval_guards():
 
 
 def test_eval_f_limb_guard():
-    # the limb multiply takes x < 2^32; refused before any work starts
-    with pytest.raises(ValueError, match="below 2\\^32"):
+    # the limb multiply takes x < 2^32; the term cap refuses these before
+    # any work starts
+    with pytest.raises(ValueError, match="terms exceeds the 10\\^8 term cap"):
         eval_f(ZERO, 1, 1 << 32)
-    with pytest.raises(ValueError, match="below 2\\^32"):
+    with pytest.raises(ValueError, match="terms exceeds the 10\\^8 term cap"):
         eval_f(ZERO, 2, (1 << 32) + 5)
 
 
@@ -265,6 +270,26 @@ def test_eval_f_term_cap(monkeypatch):
     monkeypatch.setattr(phase, "_unit_sum", refuse)
     with pytest.raises(ValueError, match="100,000,001 terms exceeds the 10\\^8"):
         eval_f(ZERO, 1, 10 ** 8 + 1)
+
+
+def test_eval_g_admits_the_range_eval_f_admits(monkeypatch):
+    # the limb kernel never forms x^3, so X past 2^21 reaches it, up to the
+    # shared 10^8 term cap, where X^3 = 10^24 < 2^80
+    monkeypatch.setattr(phase, "_unit_sum", lambda terms: "summed")
+    for X in ((1 << 21) + 1, 10 ** 8):
+        assert eval_g(ZERO, ZERO, X) == "summed"
+        assert eval_f(ZERO, 3, X) == "summed"
+
+
+def test_eval_g_past_the_old_cube_cap_against_exact_phases():
+    # 100 terms at the top of [1, X], where x^3 passes 2^63 (X = 2^21 + 1)
+    # and nears 2^80 (X = 10^8): exact integer phases through the scalar unit
+    rng = random.Random(41)
+    for X in ((1 << 21) + 1, 10 ** 8):
+        a, b = rand_phase(rng), rand_phase(rng)
+        units = [unit((a.frac * x ** 3 + b.frac * x) % SCALE) for x in range(X - 99, X + 1)]
+        want = complex(math.fsum(c for c, _ in units), math.fsum(s for _, s in units))
+        assert abs(eval_g(a, b, X, span=(X - 99, X)) - want) <= 1e-12
 
 
 def test_periodicity_bit_for_bit():

@@ -206,6 +206,16 @@ def test_parse_int_list_forms():
         _parse_int_list("ten")
 
 
+def test_parse_int_list_sizes_a_list_before_building_it(monkeypatch):
+    with pytest.raises(ValueError, match="1,000,000,000 values exceeds the 1,000,000 cap"):
+        _parse_int_list("1..1000000000")
+    monkeypatch.setattr(runner, "LIST_CAP", 5)
+    assert _parse_int_list("1..9", "2") == [1, 3, 5, 7, 9]
+    for text in ("1..6", "1,2,3,4,5,6"):
+        with pytest.raises(ValueError, match="a list of 6 values exceeds the 5 cap"):
+            _parse_int_list(text)
+
+
 # plan execution
 
 
@@ -323,6 +333,16 @@ def test_csv_columns_cover_every_handler_shape(tmp_path):
     assert len(bv["alpha"]) == 34
     assert "bound_calibration" in by_op
     assert float(by_op["bound_calibration"][0]["value"]) > 0
+
+
+def test_brute_sweep_matches_count_sweep(tmp_path):
+    text = "[brute-sweep]\nx = 1..8\ns = 6\n\n[count-sweep]\nx = 1..8\ns = 6\n"
+    status, records = run_plan(_plan(tmp_path, text))
+    assert status == 0
+    brute, count = records[:8], records[8:]
+    assert {r.op for r in brute} == {"brute_force_moment"}
+    assert all(r.exact for r in brute)
+    assert [(r.params, r.value) for r in brute] == [(r.params, r.value) for r in count]
 
 
 def test_exact_count_values_parse_back_to_the_counting_integers(tmp_path):

@@ -116,6 +116,16 @@ def test_even_moments_pass_the_drivers_first_level_gate(monkeypatch):
             run()
 
 
+def test_nan_tol_is_refused_before_any_work(monkeypatch):
+    # no delta is ever <= NaN, so a NaN tol would walk the ladder to its guards
+    _no_grid_work(monkeypatch)
+    for tol in (float("nan"), 0.0, -1.0):
+        for run in (lambda: moment_estimate(2, 3, tol), lambda: moment_estimate(2, 4, tol),
+                    lambda: restricted_profile(4, 4, [2], tol)):
+            with pytest.raises(ValueError, match="tol must be positive"):
+                run()
+
+
 def test_doubling_past_nyquist_is_stable():
     from wmvlab.torusgrid import _grid_means
     X, s = 6, 4
