@@ -3,8 +3,9 @@
 Subcommands: count, grid, restricted, arcs, bounds, identity, fit, run.
 count, grid, restricted, `bounds compare`, identity and run take --out (CSV
 target) and --cache-dir; `bounds compare --alpha` prints one angle's bound
-table and refuses both, and `bounds curves` takes --out alone.  `bounds
-compare` and `identity` also take --seed for their sampled angles.
+table and refuses both, as well as --trials and --seed; `bounds curves`
+takes --out alone.  `bounds compare` and `identity` also take --seed for
+their sampled angles.
 Exit status: 0 all good, 2 a check failed, 1 execution error.
 """
 
@@ -90,6 +91,10 @@ def _cmd_bounds(args) -> int:
             if args.out is not None or args.cache_dir is not None:
                 raise ValueError("--alpha prints one angle's bound table, which the CSV "
                                  "schema cannot hold: it takes neither --out nor --cache-dir")
+            for flag, value in (("--trials", args.trials), ("--seed", args.seed)):
+                if value is not None:
+                    raise ValueError(f"--alpha prints the bound table of the one angle given "
+                                     f"and samples none: it takes no {flag}")
             cmp_ = bounds_mod.bound_values(parse_alpha(args.alpha), args.X,
                                            args.k, args.eps)
             print(f"thm13     = {cmp_.thm13:.6g}")
@@ -98,7 +103,8 @@ def _cmd_bounds(args) -> int:
             print(f"actual    = {cmp_.actual:.6g}  at a/q = {cmp_.a}/{cmp_.q}")
             return 0
         records = _run_item(args, "bounds-compare", k=args.k, x=args.X, eps=args.eps,
-                            trials=args.trials, seed=args.seed)[1]
+                            trials=20 if args.trials is None else args.trials,
+                            seed=0 if args.seed is None else args.seed)[1]
         for rec in records:
             print(f"{rec.op} {rec.params.get('alpha', '')} value={rec.value}")
         return 0
@@ -219,8 +225,8 @@ def build_parser() -> _Parser:
     pb.add_argument("--X", type=int, required=True)
     pb.add_argument("--eps", type=float, default=0.05)
     pb.add_argument("--alpha", help="single angle; omit to sample --trials")
-    pb.add_argument("--trials", type=int, default=20)
-    pb.add_argument("--seed", type=int, default=0)
+    pb.add_argument("--trials", type=int, help="sampled angles (default 20)")
+    pb.add_argument("--seed", type=int, help="sampling seed (default 0)")
     _common(pb)
     pb.set_defaults(fn=_cmd_bounds)
     pb2 = b_subs.add_parser("curves")

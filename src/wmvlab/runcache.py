@@ -38,7 +38,11 @@ CSV_HEADER = ["run_id", "op", "X", "s", "Q", "k", "alpha",
 # 7: the ladder keeps Mbeta for even s and steps odd s by 3/2 then 4/3
 #    (odd grid-sweep values and err_est move at about 1e-12, restricted-sweep
 #    values in their last bits).
-ENGINE_VERSION = 7
+# 8: unmasked odd ladders start at 3/4 of the start grid and masked even ones
+#    read their start level off the doubled grid (odd grid-sweep values move
+#    within tol, about 1e-10 for I9, and their err_est changes;
+#    restricted-sweep err_est moves in its last bits, its values do not).
+ENGINE_VERSION = 8
 
 _MANIFEST = {"digest_algorithm": "sha256", "engine_version": ENGINE_VERSION,
              "layout": "one-group-per-file", "version": 1}

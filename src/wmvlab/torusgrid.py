@@ -17,14 +17,17 @@ Weights multiply exactly, so folding moves a mean only by FFT roundoff.
 For even s the integrand |g|^s is a trigonometric polynomial with alpha
 frequencies bounded by (s/2)X^3 and beta frequencies by (s/2)X, so the plain
 grid mean is the exact integral once the grid exceeds those band limits.
-One driver, _refine, picks, prices and sums every grid.  It starts each
+One driver, _refine, picks, prices and sums every grid.  It anchors each
 ladder on the band-limited grid of the next even moment s + s % 2, where an
 unmasked even moment is exact and stops.  Odd moments (and minor-arc
-restrictions, whose masks break band-limitedness) are refined from there
-until successive levels agree.  Even s keeps that grid's Mbeta, exact in
-beta for every alpha, and doubles Malpha; odd s steps both sizes by 3/2 and
-4/3 in turn, so each confirming grid is not nested in the one it checks.
-The reported error is the last step's delta, a heuristic and labeled as such.
+restrictions, whose masks break band-limitedness) are refined until
+successive levels agree, and each comparison costs one new grid.  Even s
+keeps that grid's Mbeta, exact in beta for every alpha, and doubles Malpha;
+the start level is the even alpha columns of the doubled grid, so it is
+read off that grid rather than run.  Odd s steps both sizes by 3/2 and 4/3
+in turn, so each confirming grid is not nested in the one it checks; an
+unmasked odd ladder starts at 3/4 of the anchor and confirms on it.  The
+reported error is the last step's delta, a heuristic and labeled as such.
 """
 
 from __future__ import annotations
@@ -68,13 +71,16 @@ class MomentEstimate:
     """A quadrature result on the grid `spec`.  exact=True only for an even
     moment on its band-limited grid, where err_est is 0; otherwise err_est
     is the last refinement step's delta, a heuristic rather than a bound, and
-    converged says whether it came within tol before the grid guards."""
+    converged says whether it came within tol before the grid guards.
+    `levels` is the ladder's history, one (Malpha, Mbeta, value, delta) per
+    level with delta None on the first; the last entry is `spec`'s."""
 
     value: float
     err_est: float
     exact: bool
     spec: GridSpec
     converged: bool = True
+    levels: Tuple[Tuple[int, int, float, Optional[float]], ...] = ()
 
 
 def _pow2_at_least(n: int) -> int:
@@ -89,8 +95,9 @@ def auto_spec_even(X: int, s: int) -> GridSpec:
 
 
 def auto_spec_start(X: int, s: int) -> GridSpec:
-    """First grid of the refinement ladder: the band-limited grid of the
-    next even moment, where |g|^(s + s % 2) is exact."""
+    """Anchor of the refinement ladder: the band-limited grid of the next
+    even moment, where |g|^(s + s % 2) is exact.  _refine says where each
+    kind of ladder starts relative to it."""
     return auto_spec_even(X, s + s % 2)
 
 
@@ -168,9 +175,11 @@ def _grid_means(X: int, s: int, spec: GridSpec,
 def _next_level(spec: GridSpec, s: int) -> GridSpec:
     """The grid that confirms `spec` on the refinement ladder.  Even s keeps
     Mbeta, whose beta mean is already exact, and doubles Malpha.  Odd s steps
-    both sides by 3/2 from a power of two and by 4/3 back to the next one, so
-    the confirming grid is not nested in the one it checks and costs about
-    2.25x, not 4x; both sizes stay even for the half-shift fold."""
+    both sides by 3/2 from a power of two and by 4/3 from 3·2^k back to the
+    next one, so the confirming grid is not nested in the one it checks and
+    costs about 2.25x (or 1.78x), not 4x; both sizes stay even for the
+    half-shift fold.  An unmasked odd ladder starts at 3·2^k, so its first
+    step is 4/3 onto auto_spec_start."""
     if s % 2 == 0:
         return GridSpec(spec.Malpha * 2, spec.Mbeta, spec.X)
     num, den = (3, 2) if spec.Malpha & (spec.Malpha - 1) == 0 else (4, 3)
@@ -181,10 +190,18 @@ def _refine(X: int, s: int, cutoffs: Sequence[Optional[Fraction]], tol: float
             ) -> List[MomentEstimate]:
     """The quadrature driver: means of |g|^s over the alpha rows minor at
     each cutoff Q (None: all), one MomentEstimate per cutoff on a common
-    final grid.  The ladder starts on auto_spec_start(X, s), where an
-    unmasked even moment is exact and comes back as that one level (err_est
-    0).  Other ladders step by _next_level until each value is within tol of
-    the last level's, and carry that delta as err_est.
+    final grid.  Each comparison costs one new grid.  The ladder's anchor is
+    auto_spec_start(X, s), where an unmasked even moment is exact and comes
+    back as that one level (err_est 0).  A masked even ladder's values there
+    are the even alpha columns of the doubled grid (same Mbeta, and masks
+    that agree at [::2] in exact arithmetic), so it runs only the doubled
+    grid and reads its start level off it.  An unmasked odd ladder starts
+    at 3/4 of the anchor on both sides, where the GridSpec floors admit it,
+    and so confirms on the anchor; a masked odd one, whose mask edges fail
+    that coarse check, starts on the anchor.  Ladders step by _next_level
+    until each value is within tol of the last level's, and carry that delta
+    as err_est; each estimate's `levels` holds every level, read-off start
+    included.
 
     A level past MALPHA_GUARD, or whose computed rows x Malpha pass
     GRID_POINTS_GUARD, is not run: the last level's values, deltas and spec
@@ -196,36 +213,57 @@ def _refine(X: int, s: int, cutoffs: Sequence[Optional[Fraction]], tol: float
         raise ValueError("tol must be positive")
     if not cutoffs:
         return []
+    n = len(cutoffs)
     half = all(T is None for T in cutoffs)
-    spec = auto_spec_start(X, s)
-    values: Optional[List[float]] = None
-    errs: List[float] = []
+    exact = half and s % 2 == 0
+    derive = not half and s % 2 == 0  # masked even: the start level is read off
+    start = spec = auto_spec_start(X, s)
+    if derive:
+        spec = _next_level(start, s)
+    elif half and s % 2:  # at 3/4 of the anchor, if the GridSpec floors admit it
+        ma, mb = 3 * start.Malpha // 4, 3 * start.Mbeta // 4
+        if ma > 2 * X ** 3 and mb > 2 * X:
+            spec = GridSpec(ma, mb, X)
+    levels: List[Tuple[GridSpec, List[float], Optional[List[float]]]] = []
+    converged = False
     while spec.Malpha <= MALPHA_GUARD:
         if len(_row_orbits(spec, half)) * spec.Malpha > GRID_POINTS_GUARD:
             break
-        keeps = [None if T is None else np.flatnonzero(arc_mask(spec, T, X))
-                 for T in cutoffs]
-        new = _grid_means(X, s, spec, keeps)
-        if half and s % 2 == 0:
-            return [MomentEstimate(v, 0.0, True, spec) for v in new]
-        if values is not None:
-            errs = [abs(v - p) / max(abs(v), 1e-300) for v, p in zip(new, values)]
-            if max(errs) <= tol:
-                return [MomentEstimate(v, e, False, spec) for v, e in zip(new, errs)]
-        values, last = new, spec
+        masks = [None if T is None else arc_mask(spec, T, X) for T in cutoffs]
+        keeps = [None if m is None else np.flatnonzero(m) for m in masks]
+        read_start = derive and not levels
+        if read_start:  # the start grid's points are the even columns of these rows
+            keeps += [2 * np.flatnonzero(m[::2]) for m in masks]
+        means = _grid_means(X, s, spec, keeps)
+        if read_start:  # x2: the start grid has half as many points
+            levels.append((start, [2 * v for v in means[n:]], None))
+        new = means[:n]
+        errs = [abs(v - p) / max(abs(v), 1e-300)
+                for v, p in zip(new, levels[-1][1])] if levels else None
+        levels.append((spec, new, errs))
+        if exact or errs and max(errs) <= tol:
+            converged = True
+            break
         spec = _next_level(spec, s)
-    if not errs:  # no exact level and fewer than two levels ran: no delta
-        raise ValueError(f"{'second' if values else 'first'} grid level {spec.Malpha:,} x "
-                         f"{spec.Mbeta:,} exceeds the 2^28 Malpha or 2^30 points guard")
-    return [MomentEstimate(v, e, False, last, False) for v, e in zip(values, errs)]
+    if not converged and len(levels) < 2:  # no exact level and no delta
+        raise ValueError(f"{'second' if levels or derive else 'first'} grid level "
+                         f"{spec.Malpha:,} x {spec.Mbeta:,} exceeds the 2^28 Malpha "
+                         f"or 2^30 points guard")
+    spec, values, errs = levels[-1]
+    return [MomentEstimate(v, errs[i] if errs else 0.0, exact, spec, converged,
+                           tuple((sp.Malpha, sp.Mbeta, vs[i], None if es is None else es[i])
+                                 for sp, vs, es in levels))
+            for i, v in enumerate(values)]
 
 
 def moment_estimate(X: int, s: int, tol: float) -> MomentEstimate:
     """I_s(X) for every integer s >= 1, by the driver _refine.
 
     Even s is one band-limited grid, flagged exact, with no refinement and
-    tol unused.  Odd s is refined on grids stepped by 3/2 and 4/3 in turn
-    and carries the last step's delta as its heuristic error."""
+    tol unused.  Odd s starts at 3/4 of auto_spec_start(X, s) where the
+    GridSpec floors admit it, is refined on grids stepped by 4/3 and 3/2 in
+    turn (so it first confirms on auto_spec_start) and carries the last
+    step's delta as its heuristic error."""
     return _refine(X, s, [None], tol)[0]
 
 

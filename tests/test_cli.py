@@ -163,6 +163,22 @@ def test_bounds_compare_single_angle_refuses_out_and_cache_dir(tmp_path, capsys)
     assert not cache.exists()
 
 
+def test_bounds_compare_single_angle_refuses_trials_and_seed(capsys):
+    # one given angle samples nothing, so the sampling flags are refused by name
+    for flags, named in ((["--trials", "5"], "--trials"), (["--seed", "3"], "--seed"),
+                         (["--trials", "5", "--seed", "3"], "--trials")):
+        assert run_cli("bounds", "compare", "--X", "64", "--alpha", "1/7", *flags) == 1
+        captured = capsys.readouterr()
+        assert f"takes no {named}" in captured.err
+        assert captured.out == ""
+    # without --alpha the defaults still sample 20 angles from seed 0
+    assert run_cli("bounds", "compare", "--X", "16") == 0
+    default = capsys.readouterr().out
+    assert default.count("bound_values") == 20
+    assert run_cli("bounds", "compare", "--X", "16", "--trials", "20", "--seed", "0") == 0
+    assert capsys.readouterr().out == default
+
+
 def test_lists_past_the_value_cap_are_refused(capsys):
     assert run_cli("bounds", "curves", "--theta", "0:3:1e-12") == 1
     assert "theta grid of 3,000,000,000,001 values exceeds the 1,000,000 cap" \

@@ -182,16 +182,18 @@ def test_rows_per_grid_after_the_fold(monkeypatch):
         assert est.spec == spec and est.exact and est.err_est == 0.0
         assert calls == [spec] * (spec.Mbeta // 4 + 1), (X, s)
     # refinement: Mbeta/4 + 1 rows per level unrestricted, Mbeta/2 + 1
-    # masked, and the first level is the next even moment's exact grid
+    # masked.  The first FFT grid is 3/4 of the next even moment's exact grid
+    # for an unmasked odd ladder, that grid doubled in alpha for a masked even
+    # one (whose start level is read off it), and that grid for a masked odd one
     for fold, start, run in (
-            (4, auto_spec_even(2, 4), lambda: moment_estimate(2, 3, 1e-4)),
-            (4, auto_spec_even(4, 10), lambda: moment_estimate(4, 9, 1e-4)),
-            (2, auto_spec_even(8, 4), lambda: restricted_profile(8, 4, [2, 4], 1e-3)[0]),
+            (4, GridSpec(24, 6, 2), lambda: moment_estimate(2, 3, 1e-4)),
+            (4, GridSpec(384, 24, 4), lambda: moment_estimate(4, 9, 1e-4)),
+            (2, GridSpec(4096, 32, 8), lambda: restricted_profile(8, 4, [2, 4], 1e-3)[0]),
             (2, auto_spec_even(6, 6), lambda: restricted_profile(6, 5, [2], 1e-3)[0])):
         calls.clear()
         est = run()
         levels = sorted(set(calls), key=lambda sp: sp.Malpha)
-        assert levels[0] == start and levels[-1] == est.spec and len(levels) >= 2
+        assert levels[0] == start and levels[-1] == est.spec and len(est.levels) >= 2
         assert len(calls) == sum(sp.Mbeta // fold + 1 for sp in levels)
 
 
@@ -254,10 +256,11 @@ def test_even_ladder_keeps_its_exact_beta_grid(monkeypatch):
     from wmvlab.torusgrid import _grid_means
     for X, s, Qs in ((6, 4, [2]), (8, 4, [2, 4]), (4, 6, [2])):
         levels = _ladder(monkeypatch, lambda: restricted_profile(X, s, Qs, 1e-3))
-        mb = auto_spec_even(X, s).Mbeta
-        assert len(levels) >= 2 and all(sp.Mbeta == mb for sp in levels), (X, s)
+        start = auto_spec_even(X, s)
+        assert levels and all(sp.Mbeta == start.Mbeta for sp in levels), (X, s)
+        # the start grid itself is never run: its level is the doubled grid's even columns
         assert [sp.Malpha for sp in levels] == [
-            levels[0].Malpha << k for k in range(len(levels))]
+            start.Malpha << k for k in range(1, len(levels) + 1)]
     # the band-limited Mbeta already gives the exact beta mean of each alpha row
     X, s, Q = 6, 4, 2
     for spec in _ladder(monkeypatch, lambda: restricted_profile(X, s, [Q], 1e-3)):
@@ -268,37 +271,86 @@ def test_even_ladder_keeps_its_exact_beta_grid(monkeypatch):
 
 
 def test_odd_ladder_confirms_on_a_non_nested_grid(monkeypatch):
+    # an unmasked odd ladder starts at 3/4 of auto_spec_start and confirms on it
     levels = _ladder(monkeypatch, lambda: moment_estimate(2, 3, 1e-12))
-    assert levels[0] == auto_spec_start(2, 3) and len(levels) >= 4
+    start = auto_spec_start(2, 3)
+    assert levels[0] == GridSpec(start.Malpha * 3 // 4, start.Mbeta * 3 // 4, 2)
+    assert levels[1] == start and len(levels) >= 4
     for k, (a, b) in enumerate(zip(levels, levels[1:])):
-        ratio = Fraction(3, 2) if k % 2 == 0 else Fraction(4, 3)
+        ratio = Fraction(4, 3) if k % 2 == 0 else Fraction(3, 2)
         assert Fraction(b.Malpha, a.Malpha) == ratio, k
         assert Fraction(b.Mbeta, a.Mbeta) == ratio, k
         assert b.Malpha % 2 == 0 and b.Mbeta % 2 == 0
 
 
+def test_masked_even_start_level_is_read_off_the_doubled_grid(monkeypatch):
+    from wmvlab.torusgrid import _grid_means
+    for X, s, Q in ((6, 4, 2), (8, 6, 4), (8, 12, 8)):
+        start = auto_spec_even(X, s)
+        ests = []
+        ran = _ladder(monkeypatch, lambda: ests.extend(restricted_profile(X, s, [Q], 1e-3)))
+        est = ests[0]
+        assert start not in ran
+        Ma, Mb, value, delta = est.levels[0]
+        assert (Ma, Mb, delta) == (start.Malpha, start.Mbeta, None)
+        keep = np.flatnonzero(arc_mask(start, Q, X))
+        assert value == pytest.approx(_grid_means(X, s, start, [keep])[0], rel=1e-13, abs=0)
+        assert est.levels[-1] == (est.spec.Malpha, est.spec.Mbeta, est.value, est.err_est)
+        assert [lv[:2] for lv in est.levels[1:]] == [(sp.Malpha, sp.Mbeta) for sp in ran]
+
+
+def test_level_history_ends_on_the_reported_grid():
+    est = moment_estimate(4, 9, 1e-3)
+    assert est.levels[-1] == (est.spec.Malpha, est.spec.Mbeta, est.value, est.err_est)
+    assert est.levels[0][3] is None and len(est.levels) >= 2
+    even = even_moment_exact(4, 6)
+    assert even.levels == ((even.spec.Malpha, even.spec.Mbeta, even.value, None),)
+
+
+def test_odd_ladder_true_error_against_a_finer_grid():
+    # the 3/4 start confirms on auto_spec_start: the reported value is held
+    # against a direct mean on a grid twice as fine on both sides
+    from wmvlab.torusgrid import _grid_means
+    for X in (8, 12, 16):
+        est = moment_estimate(X, 9, 1e-3)
+        assert est.converged and est.spec == auto_spec_start(X, 9)
+        start = est.spec
+        fine = GridSpec(2 * start.Malpha, 2 * start.Mbeta, X)
+        want = _grid_means(X, 9, fine, [None])[0]
+        assert est.value == pytest.approx(want, rel=1e-8, abs=0), X
+
+
+def test_masked_odd_ladder_is_unchanged(monkeypatch):
+    levels = _ladder(monkeypatch, lambda: restricted_profile(12, 9, [12], 1e-3))
+    assert levels == [GridSpec(16384, 64, 12), GridSpec(24576, 96, 12)]
+    assert levels[0] == auto_spec_start(12, 9)
+
+
 def test_refine_stops_before_a_level_past_the_points_guard(monkeypatch):
     from wmvlab.torusgrid import _grid_means
-    # moment_estimate(2, 3) folds its levels to 3 x 32 = 96, 4 x 48 = 192,
-    # 5 x 64 = 320, 7 x 96 = 672 and 9 x 128 = 1,152 computed points;
-    # restricted_profile(8, 4) keeps Mbeta = 32 and runs 17 x 2,048 = 34,816,
-    # then 17 x 4,096 = 69,632 and 17 x 8,192 = 139,264
-    fourth = GridSpec(96, 24, 2)
+    # moment_estimate(2, 3) folds its levels to 2 x 24 = 48, 3 x 32 = 96,
+    # 4 x 48 = 192, 5 x 64 = 320, 7 x 96 = 672 and 9 x 128 = 1,152 computed
+    # points; restricted_profile(8, 4) keeps Mbeta = 32, reads its 2,048 start
+    # level off the 17 x 4,096 = 69,632 points of the next one, then runs
+    # 17 x 8,192 = 139,264
+    fifth = GridSpec(96, 24, 2)
     monkeypatch.setattr(torusgrid, "GRID_POINTS_GUARD", 1000)
     est = moment_estimate(2, 3, 1e-12)
     assert not est.converged
-    assert est.spec == fourth
-    assert est.value == _grid_means(2, 3, fourth, [None])[0]
+    assert est.spec == fifth and len(est.levels) == 5
+    assert est.value == _grid_means(2, 3, fifth, [None])[0]
     assert est.err_est > 0.0
 
-    # one level ran, so there is no delta: refused, not a NaN error
+    _no_grid_work(monkeypatch)
+    # only the start level could run, so there is no delta: refused, not a
+    # NaN error, and before any FFT, since that level is read off the second
     monkeypatch.setattr(torusgrid, "GRID_POINTS_GUARD", 50_000)
     with pytest.raises(ValueError, match="second grid level 4,096 x 32 .* points guard"):
         restricted_profile(8, 4, [2], 1e-12)
 
     # a first level past the guard is refused before any FFT
-    monkeypatch.setattr(torusgrid, "GRID_POINTS_GUARD", 50)
-    with pytest.raises(ValueError, match="first grid level .* points guard"):
+    monkeypatch.setattr(torusgrid, "GRID_POINTS_GUARD", 40)
+    with pytest.raises(ValueError, match="first grid level 24 x 6 .* points guard"):
         moment_estimate(2, 3, 1e-12)
 
 
@@ -336,6 +388,15 @@ def test_arc_mask_is_mirror_symmetric():
                     (12, 12, auto_spec_start(12, 12).Malpha)):
         mask = arc_mask(GridSpec(M, 2 * X + 1, X), Q, X)
         assert np.array_equal(mask, mask[-np.arange(M) % M]), (X, Q, M)
+
+
+def test_arc_mask_on_a_doubled_grid_keeps_the_even_columns():
+    # the masked even ladder reads its start level off the doubled grid
+    for X, Q, M in ((6, 2, 1024), (6, 5, 1000), (8, 3.5, 1030), (8, 8, 4096),
+                    (5, 11, 777), (12, 12, auto_spec_even(12, 12).Malpha)):
+        half = arc_mask(GridSpec(M, 2 * X + 1, X), Q, X)
+        doubled = arc_mask(GridSpec(2 * M, 2 * X + 1, X), Q, X)
+        assert np.array_equal(doubled[::2], half), (X, Q, M)
 
 
 def test_arc_mask_guards():
