@@ -26,9 +26,9 @@ from .phase import (BLOCK_TERMS, FixedPhase, add_limbs, fold_half, fsum_carry,
                     phase_limbs, unit_terms)
 
 MULTISET_GUARD = 10 ** 8  # cap on sorted h-multisets per count (9 s at h = 3, 16 s at h = 6)
-IDENTITY_GUARD = 10 ** 8  # cap on u_identity_rhs terms, (2X^3 + X)/3 (X <= 531)
+IDENTITY_GUARD = 10 ** 8  # cap on u_identity_rhs terms, (2X^3 + X)/3: X <= 531, 3-4 s there
 RECIPROCAL_GUARD = 200_010_000  # cap on reciprocal_sum_bound terms, X(2X + 1) (X <= 10^4)
-_BATCH = 1 << 16  # about this many multisets per numpy call
+_BATCH = 1 << 14  # multisets per numpy call; 2^16 took ~480 page faults a call at X = 10^5
 _INT64_MAX = int(np.iinfo(np.int64).max)
 # h!/d at index d <= h!, for h <= 6: multiset weights by a gather, not a division
 _ORDERINGS = [math.factorial(h) // np.maximum(np.arange(math.factorial(h) + 1), 1)
@@ -72,7 +72,7 @@ def _shared_key_count(X: int, h: int, square: bool) -> int:
     W(key)^2, where W(key) counts the ordered h-tuples over [1, X] with that
     key: the number of solutions with h variables on each side.
 
-    Batches of consecutive slabs hold about 2^16 multisets, fewer where the
+    Batches of consecutive slabs hold about 2^14 multisets, fewer where the
     packed int64 sort key (slab offset, square-sum, cube-sum, weight) would
     overflow.  Refuses more than MULTISET_GUARD multisets, or one slab's
     keys past the int64 width, saying why.
@@ -240,11 +240,16 @@ def u_identity_rhs(alpha: FixedPhase, X: int) -> float:
     """The same fourth moment after the substitution u1 = x2-x3, u2 = x1-x3,
     u3 = x1+x2: a sum of e(-3 u1 u2 u3 alpha) over integer triples in
     (-X, 2X]^3 subject to u3+u2-u1, u3+u1-u2, u3-u1-u2, u3+u1+u2 all being
-    even and in [1, 2X].  Those four constraints are asserted array-wise for
-    every term; the enumeration merely lists their solution set: the pairs
-    with |u1| + |u2| <= X - 1, each with u3 = 2 + |u1| + |u2|, ..., 2X - |u1|
-    - |u2| in steps of 2.  The cosines come from the unit-circle kernel and
-    are summed with math.fsum.  Refuses more than IDENTITY_GUARD terms.
+    even and in [1, 2X]: the pairs with |u1| + |u2| <= X - 1, each with u3 =
+    2 + |u1| + |u2|, ..., 2X - |u1| - |u2| in steps of 2, (2X^3 + X)/3 terms.
+    Sign changes of u1, u2 and their swap permute the four forms and keep
+    each cosine bit for bit (a negated multiplier gives the exactly negated
+    phase, which the kernel folds to the same cosine), so one pair 0 <= u1 <=
+    u2 per orbit is enumerated and weighted by the orbit size: 1 for (0, 0),
+    4 for (0, u2) and (u, u), 8 otherwise.  Scaling by 4 or 8 is exact, so the
+    math.fsum total has the bits of the unfolded sum.  The four constraints
+    are asserted array-wise on every enumerated triple, and the weighted
+    count against (2X^3 + X)/3.  Refuses more than IDENTITY_GUARD terms.
     """
     if not 1 <= X <= 3000:
         raise ValueError("X must be in [1, 3000]")
@@ -253,11 +258,13 @@ def u_identity_rhs(alpha: FixedPhase, X: int) -> float:
         raise ValueError(f"u_identity_rhs(X={X}) sums {terms:,} terms, over the "
                          f"{IDENTITY_GUARD:,} cap (X <= 531)")
     two_x = 2 * X
-    u = np.arange(1 - X, X, dtype=np.int64)
-    u1, u2 = np.repeat(u, len(u)), np.tile(u, len(u))
-    a = np.abs(u1) + np.abs(u2)
-    keep = a <= X - 1
-    u1, u2, a = u1[keep], u2[keep], a[keep]
+    u = np.arange(X, dtype=np.int64)
+    u1, u2 = np.repeat(u, X), np.tile(u, X)
+    keep = (u1 <= u2) & (u1 + u2 <= X - 1)
+    u1, u2 = u1[keep], u2[keep]
+    a = u1 + u2
+    w = (1 + (u1 != u2)) << (2 - (u1 == 0) - (u2 == 0))  # x2 per nonzero u, x2 if u1 != u2
+    assert int(np.dot(w, X - a)) == terms
     total = []
     for group, offset in _runs(X - a):
         v1, v2 = u1[group], u2[group]
@@ -266,7 +273,7 @@ def u_identity_rhs(alpha: FixedPhase, X: int) -> float:
             assert np.all(q % 2 == 0) and np.all((1 <= q) & (q <= two_x))
         # |3 u1 u2 u3| <= 1.5 X (X-1)^2 < 2^32 for X <= 531, as phase_limbs needs
         c, _ = unit_terms(phase_limbs(alpha.frac, -3 * v1 * v2 * v3))
-        total = fsum_carry(total, c)
+        total = fsum_carry(total, w[group] * c)
     return math.fsum(total)
 
 

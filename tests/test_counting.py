@@ -213,7 +213,7 @@ def test_vinogradov_j_matches_vinogradov_count():
 
 
 def test_packed_batch_keys_fit_in_int64(monkeypatch):
-    # J_{2,3}(2000): the count alone would allow 130 slabs per batch, but the
+    # J_{2,3}(2000): the count alone would allow 32 slabs per batch, but the
     # packed (slab offset, square-sum, cube-sum, weight) key allows only 18
     X, h = 2000, 2
     sq_span, cube_span = h * X * X + 1, h * X ** 3 + 1
@@ -325,12 +325,10 @@ def _kernel_fsum(fracs):
     return math.fsum(c), math.fsum(s)
 
 
-def test_identity_sums_match_literal_loops_across_blocks():
-    """Both sides against their literal scalar enumerations, at sizes that
-    take several kernel blocks: the blocks change no sum, bit for bit."""
-    a = FixedPhase(random.Random(97).getrandbits(128))
-    X = 47  # 69,231 u-triples
-    fracs = []
+def _u_multipliers(X):
+    """-3 u1 u2 u3 over the literal unfolded enumeration of the u-triples:
+    every triple in (-X, 2X]^3 whose four forms are even and in [1, 2X]."""
+    out = []
     for u1 in range(1 - X, 2 * X + 1):
         for u2 in range(1 - X, 2 * X + 1):
             for u3 in range(1, 2 * X + 1):  # u3 = (q1 + q2) / 2 lies in [1, 2X]
@@ -338,9 +336,36 @@ def test_identity_sums_match_literal_loops_across_blocks():
                 # the four q share one parity
                 if (q1 % 2 == 0 and 1 <= q1 <= 2 * X and 1 <= q2 <= 2 * X
                         and 1 <= q3 <= 2 * X and 1 <= q4 <= 2 * X):
-                    fracs.append((-3 * u1 * u2 * u3 * a.frac) % SCALE)
-    assert len(fracs) == (2 * X ** 3 + X) // 3
+                    out.append(-3 * u1 * u2 * u3)
+    assert len(out) == (2 * X ** 3 + X) // 3
+    return out
+
+
+def _kernel_blocks(monkeypatch):
+    """The size of every block that counting passes to the kernel."""
+    sizes = []
+
+    def spy(phase):
+        sizes.append(len(phase[0]))
+        return unit_terms(phase)
+
+    monkeypatch.setattr(counting, "unit_terms", spy)
+    return sizes
+
+
+def test_identity_sums_match_literal_loops_across_blocks(monkeypatch):
+    """Both sides against their literal scalar enumerations, at sizes that
+    take several kernel blocks: the blocks change no sum, bit for bit.  The
+    u-side sums about 9,000 orbit terms at X = 47, so its blocks are cut to
+    3,000 terms to keep it across at least three."""
+    a = FixedPhase(random.Random(97).getrandbits(128))
+    X = 47  # 69,231 u-triples
+    fracs = [(m * a.frac) % SCALE for m in _u_multipliers(X)]
+    monkeypatch.setattr(counting, "BLOCK_TERMS", 3000)
+    blocks = _kernel_blocks(monkeypatch)
     assert u_identity_rhs(a, X) == _kernel_fsum(fracs)[0]
+    assert len(blocks) >= 3 and max(blocks) <= 3000
+    monkeypatch.undo()
     X = 300  # 90,000 pairs
     squares = []
     for n in range(2, 2 * X + 1):
@@ -348,6 +373,29 @@ def test_identity_sums_match_literal_loops_across_blocks():
                                for x1 in range(max(1, n - X), min(X, n - 1) + 1)])
         squares.append(re * re + im * im)
     assert beta_fourth_moment(a, X) == math.fsum(squares)
+
+
+def test_u_identity_fold_is_bit_identical_to_the_unfolded_sum():
+    """One pair per orbit of the sign and swap symmetry, weighted by the
+    orbit size, gives the bits of the literal unfolded sum.  Rational phases
+    put cosines on the quarter points and at exact zeros and ones."""
+    rng = random.Random(1401)
+    alphas = [FixedPhase(0)] + [FixedPhase.from_rational(p, q)
+                                for p, q in ((1, 2), (1, 4), (3, 4), (1, 3), (2, 7))]
+    alphas += [FixedPhase(rng.getrandbits(128)) for _ in range(4)]
+    for X in range(1, 13):
+        multipliers = _u_multipliers(X)
+        for a in alphas:
+            want = _kernel_fsum([(m * a.frac) % SCALE for m in multipliers])[0]
+            assert u_identity_rhs(a, X) == want, (X, a)
+
+
+def test_u_identity_sums_one_term_per_orbit(monkeypatch):
+    # X = 40: the fold passes 5,950 terms to the kernel, the unfolded walk 42,680
+    X = 40
+    blocks = _kernel_blocks(monkeypatch)
+    u_identity_rhs(FixedPhase(random.Random(7).getrandbits(128)), X)
+    assert sum(blocks) <= (2 * X ** 3 + X) // 24 + 2 * X ** 2
 
 
 def test_reciprocal_sum_examples():
