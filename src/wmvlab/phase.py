@@ -136,14 +136,20 @@ def unit(frac: int) -> Tuple[float, float]:
 def phase_limbs(frac: int, m: np.ndarray, k: int = 1) -> Tuple[np.ndarray, np.ndarray]:
     """(m^k * frac) mod 2^128, exactly, as (high, low) uint64 limbs.
 
-    m is an int64 array with |m| < 2^32 and k >= 1.  Each of the k steps
-    multiplies the four 32-bit limbs by |m| with carries (a product plus a
-    carry stays below 2^64); odd powers of negative m are negated mod 2^128.
+    m is an int64 array with |m| < 2^32 and k >= 1.  Each step multiplies
+    the four 32-bit limbs by |m|^e with carries (a product plus a carry stays
+    below 2^64), e as large as keeps max |m|^e below 2^32: k = 6 at
+    |m| < 2^16 takes three steps, k = 3 at |m| <= 1625 one.  Odd powers of
+    negative m are negated mod 2^128.
     """
     mag = np.abs(m).astype(np.uint64)
+    top = int(mag.max(initial=0))
+    e = 1
+    while e < k and top ** (e + 1) < 1 << 32:
+        e += 1
     limbs = split_limbs(frac)
-    for _ in range(k):
-        limbs, _carry = mul_limbs(limbs, mag)
+    for done in range(0, k, e):
+        limbs, _carry = mul_limbs(limbs, mag ** min(e, k - done))
     l0, l1, l2, l3 = limbs
     hi, lo = (l3 << 32) | l2, (l1 << 32) | l0
     if k % 2:

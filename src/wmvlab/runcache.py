@@ -18,7 +18,7 @@ import hashlib
 import json
 import os
 import uuid
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 CSV_HEADER = ["run_id", "op", "X", "s", "Q", "k", "alpha",
@@ -42,7 +42,11 @@ CSV_HEADER = ["run_id", "op", "X", "s", "Q", "k", "alpha",
 #    read their start level off the doubled grid (odd grid-sweep values move
 #    within tol, about 1e-10 for I9, and their err_est changes;
 #    restricted-sweep err_est moves in its last bits, its values do not).
-ENGINE_VERSION = 8
+# 9: every grid folds by the mod-6 shifts, masked sums included, and odd
+#    ladders step by 4/3 only where 9 | Malpha (odd grid-sweep values move
+#    within tol, about 1e-10 for I9, and their spec and err_est change;
+#    restricted-sweep values move in their last bits, odd s within tol).
+ENGINE_VERSION = 9
 
 _MANIFEST = {"digest_algorithm": "sha256", "engine_version": ENGINE_VERSION,
              "layout": "one-group-per-file", "version": 1}
@@ -150,7 +154,8 @@ class ResultCache:
             _atomic_write(os.path.join(self.root, "manifest.json"),
                           json.dumps(_MANIFEST, indent=2) + "\n")
             self._stamped = True
-        payload = [asdict(rec) for rec in records]
+        # a shallow dict of each record's fields: json.dumps needs no deep copy
+        payload = [vars(rec) for rec in records]
         blob = {"payload": payload, "checksum": _digest(payload)}
         path = os.path.join(self.root, cache_key([(r.op, r.params) for r in records]) + ".json")
         _atomic_write(path, json.dumps(blob, sort_keys=True))

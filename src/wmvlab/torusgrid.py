@@ -6,13 +6,14 @@ of length Malpha yields |g| at every alpha grid point of that row.  Memory
 stays O(Malpha); the full 2-D grid is never materialized.
 
 Most rows repeat others: conjugation gives |g(-alpha, -beta)| = |g|, and
-x^3 = x (mod 2) gives g(alpha + 1/2, beta + 1/2) = g, so the sum of |g|^s
-over a row is the same on each orbit {j, -j, j + Mbeta/2, Mbeta/2 - j} (the
-half shift needs Malpha and Mbeta even), and rows 0..Mbeta/4 with weights
-2, 4, ..., 4, 2 stand for any grid with 4 | Mbeta.  Arc masks are their own
-mirror images (the arc at a/q mirrors the one at (q-a)/q) but not half-shift
-invariant, so restricted sums fold by conjugation alone, on Mbeta/2 + 1 rows.
-Weights multiply exactly, so folding moves a mean only by FFT roundoff.
+x^3 = x (mod 6) gives g(alpha + k/6, beta - k/6) = g.  With d = gcd(6,
+Malpha, Mbeta) the grid admits the shifts by k/d, so one row stands for its
+orbit under j -> -j and j -> j - k*Mbeta/d: Mbeta/(2d) + 1 rows when
+2d | Mbeta, Mbeta/4 + 1 on the power-of-two grids.  Each member is the
+representative row mirrored and shifted in alpha.  Arc masks are their own
+mirror images (the arc at a/q mirrors the one at (q-a)/q), so a masked sum
+folds on the same rows, against the mask summed over the d alpha shifts.
+Weights multiply exactly, so folding moves a mean only by roundoff.
 
 For even s the integrand |g|^s is a trigonometric polynomial with alpha
 frequencies bounded by (s/2)X^3 and beta frequencies by (s/2)X, so the plain
@@ -24,10 +25,11 @@ restrictions, whose masks break band-limitedness) are refined until
 successive levels agree, and each comparison costs one new grid.  Even s
 keeps that grid's Mbeta, exact in beta for every alpha, and doubles Malpha;
 the start level is the even alpha columns of the doubled grid, so it is
-read off that grid rather than run.  Odd s steps both sizes by 3/2 and 4/3
-in turn, so each confirming grid is not nested in the one it checks; an
-unmasked odd ladder starts at 3/4 of the anchor and confirms on it.  The
-reported error is the last step's delta, a heuristic and labeled as such.
+read off that grid rather than run.  Odd s steps both sizes by 4/3 where
+9 | Malpha and by 3/2 elsewhere, so each confirming grid is not nested in
+the one it checks; an unmasked odd ladder starts at 3/4 of the anchor and
+confirms at 9/8 of it, both grids folded by all six shifts.  The reported
+error is the last step's delta, a heuristic and labeled as such.
 """
 
 from __future__ import annotations
@@ -145,44 +147,72 @@ def _amp_power(row: np.ndarray, s: int) -> np.ndarray:
     return acc * row if s % 2 else acc
 
 
-def _row_orbits(spec: GridSpec, half: bool) -> List[Tuple[int, int]]:
-    """(least row, size) of each beta-row orbit under j -> -j and, if `half`
-    and both sizes are even, j -> j + Mbeta/2."""
+def _shift_order(spec: GridSpec) -> int:
+    """d = gcd(6, Malpha, Mbeta): the grid admits the shifts
+    g(alpha + k/d, beta - k/d) = g(alpha, beta), k = 0..d-1."""
+    return math.gcd(6, spec.Malpha, spec.Mbeta)
+
+
+def _row_orbits(spec: GridSpec) -> List[Tuple[int, int]]:
+    """(least row, size) of each beta-row orbit under j -> -j and
+    j -> j - k*Mbeta/d, d = _shift_order(spec).  A shift fixes no row and at
+    most one reflection fixes a given row, so a size is 2d or d."""
     M = spec.Mbeta
-    shifts = (0, M // 2) if half and spec.Malpha % 2 == 0 and M % 2 == 0 else (0,)
+    step = M // _shift_order(spec)
     out = []
     for j in range(M):
-        orbit = {(sign * j + d) % M for sign in (1, -1) for d in shifts}
+        orbit = {(sign * j - t) % M for sign in (1, -1) for t in range(0, M, step)}
         if j == min(orbit):
             out.append((j, len(orbit)))
     return out
 
 
+def _folded_mask(keep: np.ndarray, spec: GridSpec) -> np.ndarray:
+    """The alpha indices `keep` of a mirror-symmetric mask as a float vector
+    summed over the d alpha shifts t = k*Malpha/d (integer weights 0..d).
+    Row j' = +-j - k*Mbeta/d has |g_j'(i)| = |g_j(+-(i - k*Malpha/d))|, so by
+    the mirror symmetry its masked sum is row j's against the mask shifted by
+    +-k*Malpha/d.  Every orbit meets each of the d shifts size/d times, so
+    its masked total is size/d times row j against this vector."""
+    M = spec.Malpha
+    w = np.zeros(M)
+    for t in range(0, M, M // _shift_order(spec)):
+        w[(keep + t) % M] += 1.0
+    return w
+
+
 def _grid_means(X: int, s: int, spec: GridSpec,
                 keeps: Sequence[Optional[np.ndarray]]) -> List[float]:
     """Mean of |g|^s over the grid for each of `keeps`: the alpha indices of
-    a mirror-symmetric mask, or None for all.  One row per orbit times its
-    size, with the half shift only if all are None; row sums are added with
-    math.fsum, so results are run-to-run identical for a given spec."""
+    a mirror-symmetric mask, or None for all.  One row per orbit: unmasked,
+    its size times the row sum; masked, size/d times the row against
+    _folded_mask.  Row sums are added with math.fsum, so results are
+    run-to-run identical for a given spec."""
+    d = _shift_order(spec)
+    folded = [None if keep is None else _folded_mask(keep, spec) for keep in keeps]
     totals: List[List[float]] = [[] for _ in keeps]
-    for j, weight in _row_orbits(spec, all(k is None for k in keeps)):
+    for j, size in _row_orbits(spec):
         vals = _amp_power(amplitude_row(X, spec, j), s)
-        for t, keep in zip(totals, keeps):
-            t.append(weight * float((vals if keep is None else vals[keep]).sum()))
+        for t, w in zip(totals, folded):
+            # einsum, not BLAS: its sum does not depend on the thread count
+            t.append(size * float(vals.sum()) if w is None
+                     else size // d * float(np.einsum("i,i->", vals, w)))
     return [math.fsum(t) / (spec.Malpha * spec.Mbeta) for t in totals]
 
 
 def _next_level(spec: GridSpec, s: int) -> GridSpec:
     """The grid that confirms `spec` on the refinement ladder.  Even s keeps
     Mbeta, whose beta mean is already exact, and doubles Malpha.  Odd s steps
-    both sides by 3/2 from a power of two and by 4/3 from 3·2^k back to the
-    next one, so the confirming grid is not nested in the one it checks and
-    costs about 2.25x (or 1.78x), not 4x; both sizes stay even for the
-    half-shift fold.  An unmasked odd ladder starts at 3·2^k, so its first
-    step is 4/3 onto auto_spec_start."""
+    both sides by 4/3 when 9 | Malpha and by 3/2 otherwise, so the confirming
+    grid is not nested in the one it checks and has about 2.25x (or 1.78x)
+    the points, not 4x.  From the unmasked odd start at 3/4 of
+    auto_spec_start that is 9/8 of it next; where the anchor's Mbeta is at
+    least 16, 6 divides both sides of both grids, so both fold by all six
+    shifts.  A masked odd ladder steps 2^k -> 3*2^(k-1) first.  At X = 1,
+    where |g| = 1 everywhere, sizes round down."""
     if s % 2 == 0:
         return GridSpec(spec.Malpha * 2, spec.Mbeta, spec.X)
-    num, den = (3, 2) if spec.Malpha & (spec.Malpha - 1) == 0 else (4, 3)
+    num, den = (4, 3) if spec.Malpha % 9 == 0 else (3, 2)
     return GridSpec(spec.Malpha * num // den, spec.Mbeta * num // den, spec.X)
 
 
@@ -197,8 +227,9 @@ def _refine(X: int, s: int, cutoffs: Sequence[Optional[Fraction]], tol: float
     that agree at [::2] in exact arithmetic), so it runs only the doubled
     grid and reads its start level off it.  An unmasked odd ladder starts
     at 3/4 of the anchor on both sides, where the GridSpec floors admit it,
-    and so confirms on the anchor; a masked odd one, whose mask edges fail
-    that coarse check, starts on the anchor.  Ladders step by _next_level
+    and so confirms at 9/8 of it; a masked odd one, whose mask edges fail
+    that coarse check, starts on the anchor.  Every level, masked or not,
+    sums one row per orbit of _row_orbits.  Ladders step by _next_level
     until each value is within tol of the last level's, and carry that delta
     as err_est; each estimate's `levels` holds every level, read-off start
     included.
@@ -214,20 +245,20 @@ def _refine(X: int, s: int, cutoffs: Sequence[Optional[Fraction]], tol: float
     if not cutoffs:
         return []
     n = len(cutoffs)
-    half = all(T is None for T in cutoffs)
-    exact = half and s % 2 == 0
-    derive = not half and s % 2 == 0  # masked even: the start level is read off
+    unmasked = all(T is None for T in cutoffs)
+    exact = unmasked and s % 2 == 0
+    derive = not unmasked and s % 2 == 0  # masked even: the start level is read off
     start = spec = auto_spec_start(X, s)
     if derive:
         spec = _next_level(start, s)
-    elif half and s % 2:  # at 3/4 of the anchor, if the GridSpec floors admit it
+    elif unmasked and s % 2:  # at 3/4 of the anchor, if the GridSpec floors admit it
         ma, mb = 3 * start.Malpha // 4, 3 * start.Mbeta // 4
         if ma > 2 * X ** 3 and mb > 2 * X:
             spec = GridSpec(ma, mb, X)
     levels: List[Tuple[GridSpec, List[float], Optional[List[float]]]] = []
     converged = False
     while spec.Malpha <= MALPHA_GUARD:
-        if len(_row_orbits(spec, half)) * spec.Malpha > GRID_POINTS_GUARD:
+        if len(_row_orbits(spec)) * spec.Malpha > GRID_POINTS_GUARD:
             break
         masks = [None if T is None else arc_mask(spec, T, X) for T in cutoffs]
         keeps = [None if m is None else np.flatnonzero(m) for m in masks]
@@ -261,9 +292,9 @@ def moment_estimate(X: int, s: int, tol: float) -> MomentEstimate:
 
     Even s is one band-limited grid, flagged exact, with no refinement and
     tol unused.  Odd s starts at 3/4 of auto_spec_start(X, s) where the
-    GridSpec floors admit it, is refined on grids stepped by 4/3 and 3/2 in
-    turn (so it first confirms on auto_spec_start) and carries the last
-    step's delta as its heuristic error."""
+    GridSpec floors admit it, is refined on grids stepped by 3/2 and 4/3 in
+    turn (so it first confirms at 9/8 of auto_spec_start) and carries the
+    last step's delta as its heuristic error."""
     return _refine(X, s, [None], tol)[0]
 
 

@@ -3,6 +3,7 @@ exactness, refinement, and minor-arc restriction."""
 
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -147,11 +148,14 @@ def _unfolded_means(X, s, spec, keeps):
 
 def test_folded_grid_means_match_every_row():
     from wmvlab.torusgrid import _grid_means
-    # odd sizes, odd Malpha with even Mbeta (no half shift), even sizes that
-    # are not powers of two (Mbeta/4 not an integer), and two power-of-two grids
+    # odd sizes, odd Malpha with even Mbeta (no shift), even sizes that are
+    # not powers of two (Mbeta/4 not an integer), two power-of-two grids, and
+    # grids with d = gcd(6, Malpha, Mbeta) = 6, 3, 6, 3
     cases = [(GridSpec(17, 5, 2), 2), (GridSpec(17, 6, 2), 2),
              (GridSpec(60, 14, 3), 3), (auto_spec_even(4, 6), 3),
-             (auto_spec_start(3, 9), 2)]
+             (auto_spec_start(3, 9), 2), (GridSpec(24, 6, 2), 2),
+             (GridSpec(27, 9, 2), 2), (GridSpec(96, 24, 3), 3),
+             (GridSpec(576, 27, 4), 4)]
     for spec, Q in cases:
         X = spec.X
         keep = np.flatnonzero(arc_mask(spec, Q, X))
@@ -161,6 +165,19 @@ def test_folded_grid_means_match_every_row():
                 want = _unfolded_means(X, s, spec, keeps)
                 for g, w in zip(got, want):
                     assert g == pytest.approx(w, rel=1e-13, abs=0), (spec, s, len(keeps))
+
+
+def test_rows_repeat_under_the_mod_6_shift():
+    # x^3 = x (mod 6): g(alpha + k/6, beta - k/6) = g, so row j - k*Mbeta/6
+    # is row j shifted by k*Malpha/6
+    for X, spec in ((2, GridSpec(24, 6, 2)), (3, GridSpec(96, 24, 3)),
+                    (4, GridSpec(576, 36, 4))):
+        for j in (0, 1, spec.Mbeta // 2 - 1, spec.Mbeta - 1):
+            row = amplitude_row(X, spec, j)
+            for k in range(1, 6):
+                moved = amplitude_row(X, spec, (j - k * spec.Mbeta // 6) % spec.Mbeta)
+                shifted = np.roll(row, k * spec.Malpha // 6)
+                assert np.max(np.abs(moved - shifted)) <= 1e-12 * X, (spec, j, k)
 
 
 def test_rows_per_grid_after_the_fold(monkeypatch):
@@ -181,20 +198,27 @@ def test_rows_per_grid_after_the_fold(monkeypatch):
         spec = auto_spec_even(X, s)
         assert est.spec == spec and est.exact and est.err_est == 0.0
         assert calls == [spec] * (spec.Mbeta // 4 + 1), (X, s)
-    # refinement: Mbeta/4 + 1 rows per level unrestricted, Mbeta/2 + 1
-    # masked.  The first FFT grid is 3/4 of the next even moment's exact grid
-    # for an unmasked odd ladder, that grid doubled in alpha for a masked even
-    # one (whose start level is read off it), and that grid for a masked odd one
-    for fold, start, run in (
-            (4, GridSpec(24, 6, 2), lambda: moment_estimate(2, 3, 1e-4)),
-            (4, GridSpec(384, 24, 4), lambda: moment_estimate(4, 9, 1e-4)),
-            (2, GridSpec(4096, 32, 8), lambda: restricted_profile(8, 4, [2, 4], 1e-3)[0]),
-            (2, auto_spec_even(6, 6), lambda: restricted_profile(6, 5, [2], 1e-3)[0])):
+    # refinement, masked or not: one row per orbit under j -> -j and the d
+    # shifts, d = gcd(6, Malpha, Mbeta), which is Mbeta/(2d) + 1 rows when
+    # 2d | Mbeta (Burnside: of the 2d maps the identity fixes Mbeta rows, each
+    # reflection two and each shift none).  24 x 6 (d = 6) is one orbit and
+    # 36 x 9 (d = 3) two: {0, 3, 6} and the rest.  The first FFT grid is 3/4
+    # of the next even moment's exact grid for an unmasked odd ladder, that
+    # grid doubled in alpha for a masked even one (whose start level is read
+    # off it), and that grid for a masked odd one
+    for rows, run in (
+            ({GridSpec(24, 6, 2): 1, GridSpec(36, 9, 2): 2},
+             lambda: moment_estimate(2, 3, 1e-4)),
+            ({GridSpec(384, 24, 4): 3, GridSpec(576, 36, 4): 4},
+             lambda: moment_estimate(4, 9, 1e-4)),
+            ({GridSpec(4096, 32, 8): 9},
+             lambda: restricted_profile(8, 4, [2, 4], 1e-3)[0]),
+            ({auto_spec_even(6, 6): 9, GridSpec(1536, 48, 6): 5, GridSpec(2304, 72, 6): 7},
+             lambda: restricted_profile(6, 5, [2], 1e-3)[0])):
         calls.clear()
         est = run()
-        levels = sorted(set(calls), key=lambda sp: sp.Malpha)
-        assert levels[0] == start and levels[-1] == est.spec and len(est.levels) >= 2
-        assert len(calls) == sum(sp.Mbeta // fold + 1 for sp in levels)
+        assert Counter(calls) == rows
+        assert est.spec == max(rows, key=lambda sp: sp.Malpha) and len(est.levels) >= 2
 
 
 def test_moment_estimate_even_converges_immediately():
@@ -271,16 +295,21 @@ def test_even_ladder_keeps_its_exact_beta_grid(monkeypatch):
 
 
 def test_odd_ladder_confirms_on_a_non_nested_grid(monkeypatch):
-    # an unmasked odd ladder starts at 3/4 of auto_spec_start and confirms on it
+    # an unmasked odd ladder starts at 3/4 of auto_spec_start and confirms at
+    # 9/8 of it, then steps by 4/3 where 9 | Malpha and by 3/2 elsewhere
     levels = _ladder(monkeypatch, lambda: moment_estimate(2, 3, 1e-12))
     start = auto_spec_start(2, 3)
     assert levels[0] == GridSpec(start.Malpha * 3 // 4, start.Mbeta * 3 // 4, 2)
-    assert levels[1] == start and len(levels) >= 4
+    assert levels[1] == GridSpec(start.Malpha * 9 // 8, start.Mbeta * 9 // 8, 2)
+    assert len(levels) >= 4
     for k, (a, b) in enumerate(zip(levels, levels[1:])):
-        ratio = Fraction(4, 3) if k % 2 == 0 else Fraction(3, 2)
+        ratio = Fraction(3, 2) if k % 2 == 0 else Fraction(4, 3)
         assert Fraction(b.Malpha, a.Malpha) == ratio, k
         assert Fraction(b.Mbeta, a.Mbeta) == ratio, k
-        assert b.Malpha % 2 == 0 and b.Mbeta % 2 == 0
+    # 6 divides both sides of both grids once the anchor's Mbeta is at least 16
+    for X, s in ((4, 9), (8, 9), (4, 3)):
+        grids = _ladder(monkeypatch, lambda: moment_estimate(X, s, 1e-3))[:2]
+        assert all(sp.Malpha % 6 == 0 and sp.Mbeta % 6 == 0 for sp in grids), (X, s)
 
 
 def test_masked_even_start_level_is_read_off_the_doubled_grid(monkeypatch):
@@ -308,13 +337,15 @@ def test_level_history_ends_on_the_reported_grid():
 
 
 def test_odd_ladder_true_error_against_a_finer_grid():
-    # the 3/4 start confirms on auto_spec_start: the reported value is held
-    # against a direct mean on a grid twice as fine on both sides
+    # the 3/4 start confirms at 9/8 of auto_spec_start: the reported value is
+    # held against a direct mean on a grid twice as fine as auto_spec_start
+    # on both sides
     from wmvlab.torusgrid import _grid_means
     for X in (8, 12, 16):
         est = moment_estimate(X, 9, 1e-3)
-        assert est.converged and est.spec == auto_spec_start(X, 9)
-        start = est.spec
+        start = auto_spec_start(X, 9)
+        assert est.converged
+        assert est.spec == GridSpec(start.Malpha * 9 // 8, start.Mbeta * 9 // 8, X)
         fine = GridSpec(2 * start.Malpha, 2 * start.Mbeta, X)
         want = _grid_means(X, 9, fine, [None])[0]
         assert est.value == pytest.approx(want, rel=1e-8, abs=0), X
@@ -328,28 +359,28 @@ def test_masked_odd_ladder_is_unchanged(monkeypatch):
 
 def test_refine_stops_before_a_level_past_the_points_guard(monkeypatch):
     from wmvlab.torusgrid import _grid_means
-    # moment_estimate(2, 3) folds its levels to 2 x 24 = 48, 3 x 32 = 96,
-    # 4 x 48 = 192, 5 x 64 = 320, 7 x 96 = 672 and 9 x 128 = 1,152 computed
-    # points; restricted_profile(8, 4) keeps Mbeta = 32, reads its 2,048 start
-    # level off the 17 x 4,096 = 69,632 points of the next one, then runs
-    # 17 x 8,192 = 139,264
-    fifth = GridSpec(96, 24, 2)
+    # moment_estimate(2, 3) folds its levels to 1 x 24 = 24, 2 x 36 = 72,
+    # 2 x 48 = 96, 2 x 72 = 144, 3 x 96 = 288, 4 x 144 = 576, 5 x 192 = 960
+    # and 7 x 288 = 2,016 computed points; restricted_profile(8, 4) keeps
+    # Mbeta = 32, reads its 2,048 start level off the 9 x 4,096 = 36,864
+    # points of the next one, then runs 9 x 8,192 = 73,728
+    seventh = GridSpec(192, 48, 2)
     monkeypatch.setattr(torusgrid, "GRID_POINTS_GUARD", 1000)
     est = moment_estimate(2, 3, 1e-12)
     assert not est.converged
-    assert est.spec == fifth and len(est.levels) == 5
-    assert est.value == _grid_means(2, 3, fifth, [None])[0]
+    assert est.spec == seventh and len(est.levels) == 7
+    assert est.value == _grid_means(2, 3, seventh, [None])[0]
     assert est.err_est > 0.0
 
     _no_grid_work(monkeypatch)
     # only the start level could run, so there is no delta: refused, not a
     # NaN error, and before any FFT, since that level is read off the second
-    monkeypatch.setattr(torusgrid, "GRID_POINTS_GUARD", 50_000)
+    monkeypatch.setattr(torusgrid, "GRID_POINTS_GUARD", 30_000)
     with pytest.raises(ValueError, match="second grid level 4,096 x 32 .* points guard"):
         restricted_profile(8, 4, [2], 1e-12)
 
     # a first level past the guard is refused before any FFT
-    monkeypatch.setattr(torusgrid, "GRID_POINTS_GUARD", 40)
+    monkeypatch.setattr(torusgrid, "GRID_POINTS_GUARD", 20)
     with pytest.raises(ValueError, match="first grid level 24 x 6 .* points guard"):
         moment_estimate(2, 3, 1e-12)
 
