@@ -23,6 +23,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, List, Optional, Tuple, Union
 
+import numpy as np
+
 from .phase import SCALE, FixedPhase
 
 RealLike = Union[int, float, str, Fraction]
@@ -175,3 +177,51 @@ def major_measure(Q: RealLike, X: int) -> float:
     phi = _totients(qmax)
     weight = sum(Fraction(phi[q], q) for q in range(1, qmax + 1))
     return float(2 * T * weight / X ** 3)
+
+
+def _mobius(n: int) -> int:
+    """The Moebius function mu(n), by trial division."""
+    mu, p = 1, 2
+    while p * p <= n:
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return 0
+            mu = -mu
+        p += 1
+    return -mu if n > 1 else mu
+
+
+def _ramanujan(q: int) -> np.ndarray:
+    """c_q(r) for r = 0..q-1: the sum over e | gcd(q, r) of mu(q/e) e."""
+    c = np.zeros(q, dtype=np.int64)
+    for e in range(1, q + 1):
+        if q % e == 0:
+            c[::e] += _mobius(q // e) * e
+    return c
+
+
+def major_kernel(Q: RealLike, X: int, m) -> np.ndarray:
+    """K_Q(m), the integral of e(m alpha) over the major arcs at cutoff Q,
+    scale X, for each integer of the array m.  The arc at a/q has half-width
+    Q/(q X^3), and e(ma/q) summed over coprime a is the Ramanujan sum c_q(m),
+    so K_Q(m) = sum over q <= Q of c_q(m) sin(2 pi m Q/(q X^3))/(pi m), even
+    in m, and K_Q(0) = major_measure(Q, X), whose guards apply.  The sine's
+    argument is reduced exactly, m*Q mod q*X^3 in integers (Python ints where
+    int64 would overflow).  At X = 1 the one arc covers the circle."""
+    T = Fraction(Q)
+    m = np.asarray(m, dtype=np.int64)
+    if X == 1 and T >= 1:
+        return (m == 0).astype(float)
+    out = np.full(m.shape, major_measure(T, X))
+    nz = m != 0
+    mn = m[nz]
+    x3, num, den, qmax = X ** 3, T.numerator, T.denominator, int(T)
+    fits = int(np.abs(mn).max(initial=0)) * num < 1 << 63 and den * qmax * x3 < 1 << 63
+    ints = mn if fits else mn.astype(object)
+    acc = np.zeros(mn.shape)
+    for q in range(1, qmax + 1):
+        D = den * q * x3
+        acc += _ramanujan(q)[mn % q] * np.sin(2 * np.pi * ((ints * num) % D).astype(float) / D)
+    out[nz] = acc / (np.pi * mn)
+    return out

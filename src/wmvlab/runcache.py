@@ -46,7 +46,10 @@ CSV_HEADER = ["run_id", "op", "X", "s", "Q", "k", "alpha",
 #    ladders step by 4/3 only where 9 | Malpha (odd grid-sweep values move
 #    within tol, about 1e-10 for I9, and their spec and err_est change;
 #    restricted-sweep values move in their last bits, odd s within tol).
-ENGINE_VERSION = 9
+# 10: minor-arc masks act on the Fourier side, through the major-arc
+#    kernel K_Q(m) (restricted-sweep values move by up to about 1e-3
+#    relative, even s become exact with err_est 0; grid-sweep is unchanged).
+ENGINE_VERSION = 10
 
 _MANIFEST = {"digest_algorithm": "sha256", "engine_version": ENGINE_VERSION,
              "layout": "one-group-per-file", "version": 1}

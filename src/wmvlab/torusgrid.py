@@ -10,26 +10,28 @@ x^3 = x (mod 6) gives g(alpha + k/6, beta - k/6) = g.  With d = gcd(6,
 Malpha, Mbeta) the grid admits the shifts by k/d, so one row stands for its
 orbit under j -> -j and j -> j - k*Mbeta/d: Mbeta/(2d) + 1 rows when
 2d | Mbeta, Mbeta/4 + 1 on the power-of-two grids.  Each member is the
-representative row mirrored and shifted in alpha.  Arc masks are their own
-mirror images (the arc at a/q mirrors the one at (q-a)/q), so a masked sum
-folds on the same rows, against the mask summed over the d alpha shifts.
-Weights multiply exactly, so folding moves a mean only by roundoff.
+representative row mirrored and shifted in alpha, so an orbit's alpha
+spectrum lives on m = 0 (mod d), where it is the spectrum of the row folded
+to length Malpha/d.
 
-For even s the integrand |g|^s is a trigonometric polynomial with alpha
-frequencies bounded by (s/2)X^3 and beta frequencies by (s/2)X, so the plain
-grid mean is the exact integral once the grid exceeds those band limits.
+Minor-arc restrictions act on that spectrum: the minor-arc indicator has
+Fourier coefficients [m == 0] - K_Q(m) (arcs.major_kernel), so a masked mean
+is the folded rows' spectrum against them, not a sum over grid points that
+cut each arc edge.  For even s the integrand |g|^s is a trigonometric
+polynomial with alpha frequencies bounded by (s/2)X^3 and beta frequencies
+by (s/2)X, so the plain grid mean is the exact integral once the grid
+exceeds those band limits, and with Malpha > sX^3 the alpha spectrum is not
+aliased, so the masked mean is exact too.
+
 One driver, _refine, picks, prices and sums every grid.  It anchors each
-ladder on the band-limited grid of the next even moment s + s % 2, where an
-unmasked even moment is exact and stops.  Odd moments (and minor-arc
-restrictions, whose masks break band-limitedness) are refined until
-successive levels agree, and each comparison costs one new grid.  Even s
-keeps that grid's Mbeta, exact in beta for every alpha, and doubles Malpha;
-the start level is the even alpha columns of the doubled grid, so it is
-read off that grid rather than run.  Odd s steps both sizes by 4/3 where
-9 | Malpha and by 3/2 elsewhere, so each confirming grid is not nested in
-the one it checks; an unmasked odd ladder starts at 3/4 of the anchor and
-confirms at 9/8 of it, both grids folded by all six shifts.  The reported
-error is the last step's delta, a heuristic and labeled as such.
+ladder on the band-limited grid of the next even moment s + s % 2.  Even s
+is exact in one level: that grid unmasked, that grid with Malpha doubled
+masked.  Odd s, masked or not, is refined until successive levels agree,
+each comparison costing one new grid: it starts at 3/4 of the anchor,
+confirms at 9/8 of it, both grids folded by all six shifts, and steps by
+4/3 where 9 | Malpha and by 3/2 elsewhere, so each confirming grid is not
+nested in the one it checks.  The reported error is the last step's delta,
+a heuristic and labeled as such.
 """
 
 from __future__ import annotations
@@ -40,6 +42,8 @@ from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
+
+from .arcs import major_kernel
 
 RealLike = Union[int, float, str, Fraction]
 
@@ -70,10 +74,11 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class MomentEstimate:
-    """A quadrature result on the grid `spec`.  exact=True only for an even
-    moment on its band-limited grid, where err_est is 0; otherwise err_est
-    is the last refinement step's delta, a heuristic rather than a bound, and
-    converged says whether it came within tol before the grid guards.
+    """A quadrature result on the grid `spec`.  exact=True for an even
+    moment, masked or not, on its band-limited grid, where err_est is 0;
+    otherwise err_est is the last refinement step's delta, a heuristic rather
+    than a bound, and converged says whether it came within tol before the
+    grid guards.
     `levels` is the ladder's history, one (Malpha, Mbeta, value, delta) per
     level with delta None on the first; the last entry is `spec`'s."""
 
@@ -167,72 +172,67 @@ def _row_orbits(spec: GridSpec) -> List[Tuple[int, int]]:
     return out
 
 
-def _folded_mask(keep: np.ndarray, spec: GridSpec) -> np.ndarray:
-    """The alpha indices `keep` of a mirror-symmetric mask as a float vector
-    summed over the d alpha shifts t = k*Malpha/d (integer weights 0..d).
-    Row j' = +-j - k*Mbeta/d has |g_j'(i)| = |g_j(+-(i - k*Malpha/d))|, so by
-    the mirror symmetry its masked sum is row j's against the mask shifted by
-    +-k*Malpha/d.  Every orbit meets each of the d shifts size/d times, so
-    its masked total is size/d times row j against this vector."""
-    M = spec.Malpha
-    w = np.zeros(M)
-    for t in range(0, M, M // _shift_order(spec)):
-        w[(keep + t) % M] += 1.0
-    return w
-
-
-def _grid_means(X: int, s: int, spec: GridSpec,
-                keeps: Sequence[Optional[np.ndarray]]) -> List[float]:
-    """Mean of |g|^s over the grid for each of `keeps`: the alpha indices of
-    a mirror-symmetric mask, or None for all.  One row per orbit: unmasked,
-    its size times the row sum; masked, size/d times the row against
-    _folded_mask.  Row sums are added with math.fsum, so results are
-    run-to-run identical for a given spec."""
+def _grid_means(X: int, s: int, spec: GridSpec, cutoffs: Sequence[Optional[Fraction]],
+                orbits: List[Tuple[int, int]]) -> List[float]:
+    """Mean of |g|^s over the grid for each of `cutoffs`: the minor arcs at
+    Q, or None for the whole grid, summing one row per orbit of `orbits`
+    (_row_orbits(spec)).  With no cutoff each orbit adds its size times the
+    row sum, added with math.fsum, so results are run-to-run identical for a
+    given spec.  With any, each row folded to length L = Malpha/d is added,
+    times its orbit size, into one accumulator, whose rfft bin k is the
+    grid's alpha spectrum at m = d*k, real since orbits are mirror closed.
+    Each cutoff's mean is that spectrum against the minor-arc coefficients
+    [m == 0] - K_Q(m), weighted 2 off bin 0 and the Nyquist bin."""
     d = _shift_order(spec)
-    folded = [None if keep is None else _folded_mask(keep, spec) for keep in keeps]
-    totals: List[List[float]] = [[] for _ in keeps]
-    for j, size in _row_orbits(spec):
+    L = spec.Malpha // d
+    masked = any(T is not None for T in cutoffs)
+    acc, sums = np.zeros(L), []
+    for j, size in orbits:
         vals = _amp_power(amplitude_row(X, spec, j), s)
-        for t, w in zip(totals, folded):
-            # einsum, not BLAS: its sum does not depend on the thread count
-            t.append(size * float(vals.sum()) if w is None
-                     else size // d * float(np.einsum("i,i->", vals, w)))
-    return [math.fsum(t) / (spec.Malpha * spec.Mbeta) for t in totals]
+        if masked:
+            acc += size * vals.reshape(d, L).sum(0)
+        else:
+            sums.append(size * float(vals.sum()))
+    points = spec.Malpha * spec.Mbeta
+    if not masked:
+        return [math.fsum(sums) / points] * len(cutoffs)
+    k = np.arange(L // 2 + 1)
+    weighted = np.fft.rfft(acc).real * np.where((k == 0) | (2 * k == L), 1.0, 2.0)
+    out = []
+    for T in cutoffs:
+        minor = (k == 0) - (0.0 if T is None else major_kernel(T, X, d * k))
+        # einsum, not BLAS: its sum does not depend on the thread count
+        out.append(float(np.einsum("i,i->", weighted, minor)) / points)
+    return out
 
 
-def _next_level(spec: GridSpec, s: int) -> GridSpec:
-    """The grid that confirms `spec` on the refinement ladder.  Even s keeps
-    Mbeta, whose beta mean is already exact, and doubles Malpha.  Odd s steps
-    both sides by 4/3 when 9 | Malpha and by 3/2 otherwise, so the confirming
-    grid is not nested in the one it checks and has about 2.25x (or 1.78x)
-    the points, not 4x.  From the unmasked odd start at 3/4 of
-    auto_spec_start that is 9/8 of it next; where the anchor's Mbeta is at
-    least 16, 6 divides both sides of both grids, so both fold by all six
-    shifts.  A masked odd ladder steps 2^k -> 3*2^(k-1) first.  At X = 1,
-    where |g| = 1 everywhere, sizes round down."""
-    if s % 2 == 0:
-        return GridSpec(spec.Malpha * 2, spec.Mbeta, spec.X)
+def _next_level(spec: GridSpec) -> GridSpec:
+    """The grid that confirms `spec` on an odd ladder: both sides step by 4/3
+    when 9 | Malpha and by 3/2 otherwise, so the confirming grid is not
+    nested in the one it checks and has about 2.25x (or 1.78x) the points,
+    not 4x.  From the start at 3/4 of auto_spec_start that is 9/8 of it
+    next; where the anchor's Mbeta is at least 16, 6 divides both sides of
+    both grids, so both fold by all six shifts.  At X = 1, where |g| = 1
+    everywhere, sizes round down."""
     num, den = (4, 3) if spec.Malpha % 9 == 0 else (3, 2)
     return GridSpec(spec.Malpha * num // den, spec.Mbeta * num // den, spec.X)
 
 
 def _refine(X: int, s: int, cutoffs: Sequence[Optional[Fraction]], tol: float
             ) -> List[MomentEstimate]:
-    """The quadrature driver: means of |g|^s over the alpha rows minor at
-    each cutoff Q (None: all), one MomentEstimate per cutoff on a common
-    final grid.  Each comparison costs one new grid.  The ladder's anchor is
-    auto_spec_start(X, s), where an unmasked even moment is exact and comes
-    back as that one level (err_est 0).  A masked even ladder's values there
-    are the even alpha columns of the doubled grid (same Mbeta, and masks
-    that agree at [::2] in exact arithmetic), so it runs only the doubled
-    grid and reads its start level off it.  An unmasked odd ladder starts
-    at 3/4 of the anchor on both sides, where the GridSpec floors admit it,
-    and so confirms at 9/8 of it; a masked odd one, whose mask edges fail
-    that coarse check, starts on the anchor.  Every level, masked or not,
-    sums one row per orbit of _row_orbits.  Ladders step by _next_level
-    until each value is within tol of the last level's, and carry that delta
-    as err_est; each estimate's `levels` holds every level, read-off start
-    included.
+    """The quadrature driver: means of |g|^s over the minor arcs at each
+    cutoff Q (None: the whole torus), one MomentEstimate per cutoff on a
+    common final grid, by _grid_means on one row per orbit of _row_orbits.
+    The ladder's anchor is auto_spec_start(X, s).
+
+    Even s is exact in one level (err_est 0).  Unmasked, that level is the
+    anchor; masked, it is the anchor with Malpha doubled, since Malpha >
+    s X^3 keeps the alpha spectrum of |g|^s unaliased, so its Fourier-side
+    mask is exact too.  Odd s, masked or not, starts at 3/4 of the anchor on
+    both sides, where the GridSpec floors admit it, and so confirms at 9/8
+    of it; it steps by _next_level until each value is within tol of the
+    last level's, and carries that delta as err_est.  Each estimate's
+    `levels` holds every level.
 
     A level past MALPHA_GUARD, or whose computed rows x Malpha pass
     GRID_POINTS_GUARD, is not run: the last level's values, deltas and spec
@@ -244,40 +244,30 @@ def _refine(X: int, s: int, cutoffs: Sequence[Optional[Fraction]], tol: float
         raise ValueError("tol must be positive")
     if not cutoffs:
         return []
-    n = len(cutoffs)
-    unmasked = all(T is None for T in cutoffs)
-    exact = unmasked and s % 2 == 0
-    derive = not unmasked and s % 2 == 0  # masked even: the start level is read off
-    start = spec = auto_spec_start(X, s)
-    if derive:
-        spec = _next_level(start, s)
-    elif unmasked and s % 2:  # at 3/4 of the anchor, if the GridSpec floors admit it
-        ma, mb = 3 * start.Malpha // 4, 3 * start.Mbeta // 4
+    exact = s % 2 == 0
+    spec = auto_spec_start(X, s)
+    if not exact:  # at 3/4 of the anchor, if the GridSpec floors admit it
+        ma, mb = 3 * spec.Malpha // 4, 3 * spec.Mbeta // 4
         if ma > 2 * X ** 3 and mb > 2 * X:
             spec = GridSpec(ma, mb, X)
+    elif any(T is not None for T in cutoffs):  # Malpha > s X^3: no aliasing
+        spec = GridSpec(2 * spec.Malpha, spec.Mbeta, X)
     levels: List[Tuple[GridSpec, List[float], Optional[List[float]]]] = []
     converged = False
     while spec.Malpha <= MALPHA_GUARD:
-        if len(_row_orbits(spec)) * spec.Malpha > GRID_POINTS_GUARD:
+        orbits = _row_orbits(spec)
+        if len(orbits) * spec.Malpha > GRID_POINTS_GUARD:
             break
-        masks = [None if T is None else arc_mask(spec, T, X) for T in cutoffs]
-        keeps = [None if m is None else np.flatnonzero(m) for m in masks]
-        read_start = derive and not levels
-        if read_start:  # the start grid's points are the even columns of these rows
-            keeps += [2 * np.flatnonzero(m[::2]) for m in masks]
-        means = _grid_means(X, s, spec, keeps)
-        if read_start:  # x2: the start grid has half as many points
-            levels.append((start, [2 * v for v in means[n:]], None))
-        new = means[:n]
+        new = _grid_means(X, s, spec, cutoffs, orbits)
         errs = [abs(v - p) / max(abs(v), 1e-300)
                 for v, p in zip(new, levels[-1][1])] if levels else None
         levels.append((spec, new, errs))
         if exact or errs and max(errs) <= tol:
             converged = True
             break
-        spec = _next_level(spec, s)
+        spec = _next_level(spec)
     if not converged and len(levels) < 2:  # no exact level and no delta
-        raise ValueError(f"{'second' if levels or derive else 'first'} grid level "
+        raise ValueError(f"{'second' if levels else 'first'} grid level "
                          f"{spec.Malpha:,} x {spec.Mbeta:,} exceeds the 2^28 Malpha "
                          f"or 2^30 points guard")
     spec, values, errs = levels[-1]
@@ -336,12 +326,15 @@ def arc_mask(spec: GridSpec, Q: RealLike, X: int) -> np.ndarray:
 
 def restricted_profile(X: int, s: int, Qs: Sequence[RealLike],
                        tol: float) -> List[MomentEstimate]:
-    """Minor-arc moments I_s^*(X; Q), 1 <= Q <= X: grid means of |g|^s over
-    the alpha rows minor at (Q, X), refined by _refine on one shared ladder
-    (even s doubles Malpha on its exact Mbeta).  Rows are computed once per
-    level and re-used for every mask, and all cutoffs are refined until the
-    worst one stabilizes, so the values share a final grid and inherit exact
-    mask nesting (larger Q never yields a larger value).  Empty Qs: []."""
+    """Minor-arc moments I_s^*(X; Q), 1 <= Q <= X: the integral of |g|^s over
+    the alpha minor at (Q, X), by _refine with the mask on the Fourier side.
+    Even s is exact in one level on the anchor grid with Malpha doubled
+    (exact=True, err_est 0); odd s is refined on one shared ladder until
+    the worst cutoff stabilizes.  Rows are computed once per level and
+    re-used for every cutoff, so the values share a final grid.  Larger Q
+    never yields a larger value in exact arithmetic, since the major arcs
+    nest.  At X = 1 the one arc covers the circle and the value is 0.
+    Empty Qs: []."""
     fracs = [Fraction(Q) for Q in Qs]
     for T in fracs:
         if T < 1 or T > X:

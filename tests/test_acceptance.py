@@ -138,7 +138,7 @@ def test_c06_minor_arc_moment_slopes():
         i12.append((x, grid))
     for x in xs:
         est = restricted_profile(x, 12, [x], 1e-3)[0]
-        assert est.converged, x
+        assert est.converged and est.exact, x
         i12r.append((x, est.value))
     s9 = fit_powerlaw(i9).slope
     s12 = fit_powerlaw(i12).slope
@@ -157,7 +157,7 @@ def test_c07_q_decay_of_restricted_moment():
     t0 = time.perf_counter()
     qs = [2, 4, 8, 16, 24]
     profile = restricted_profile(24, 12, qs, 1e-3)
-    assert all(est.converged for est in profile)
+    assert all(est.converged and est.exact for est in profile)
     vals = [est.value for est in profile]
     mono = all(vals[i] >= vals[i + 1] for i in range(len(vals) - 1))
     drop = vals[0] / vals[-1]

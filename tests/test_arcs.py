@@ -10,12 +10,15 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from wmvlab.arcs import (
+    _ramanujan,
     classify,
     convergents,
     dirichlet_approx,
+    major_kernel,
     major_measure,
     psi,
 )
@@ -218,6 +221,49 @@ def test_major_measure_against_interval_union():
                 cur_hi = max(cur_hi, hi)
         total += cur_hi - cur_lo
         assert abs(major_measure(Q, X) - float(total)) <= 1e-7
+
+
+def test_ramanujan_sums_against_the_cosine_sum():
+    for q in range(1, 31):
+        literal = [sum(math.cos(2 * math.pi * a * r / q) for a in range(q)
+                       if math.gcd(a, q) == 1) for r in range(q)]
+        assert np.allclose(_ramanujan(q), literal, rtol=0, atol=1e-9), q
+
+
+def _arc_integral(Q, X, m):
+    """The integral of e(m alpha) over the major arcs, interval by interval:
+    each arc's (sin(2 pi m hi) - sin(2 pi m lo))/(2 pi m), the real part (the
+    arcs are mirror symmetric), with m*hi reduced mod 1 in exact fractions."""
+    if m == 0:
+        return float(sum(hi - lo for lo, hi in arc_intervals(Q, X)))
+    return sum(math.sin(2 * math.pi * float(m * hi % 1)) - math.sin(2 * math.pi * float(m * lo % 1))
+               for lo, hi in arc_intervals(Q, X)) / (2 * math.pi * m)
+
+
+def test_major_kernel_at_zero_is_the_major_measure():
+    for Q, X in ((1, 10), (2, 10), (3, 7), (Fraction(5, 2), 8), (8, 30), (1.1, 32)):
+        assert major_kernel(Q, X, [0])[0] == major_measure(Q, X), (Q, X)
+
+
+def test_major_kernel_against_arc_integrals():
+    # integer and fractional cutoffs, m near Malpha/2 of X = 32's doubled
+    # s = 12 grid, and Q = 1.1, whose Fraction has denominator 2^51: its
+    # reduction m*Q mod q*X^3 passes int64 and runs on Python ints
+    for Q, X, ms in ((2, 6, range(-13, 40)), (6, 6, range(0, 700, 7)),
+                     (Fraction(5, 2), 8, range(0, 3000, 61)),
+                     (32, 32, range(2 ** 18 - 30, 2 ** 18 + 1, 6)),
+                     (1.1, 32, [1, 6, 12345, 2 ** 18])):
+        ms = list(ms)
+        got = major_kernel(Q, X, ms)
+        want = [_arc_integral(Q, X, m) for m in ms]
+        scale = major_measure(Q, X)
+        assert np.allclose(got, want, rtol=0, atol=1e-12 * scale), (Q, X)
+
+
+def test_major_kernel_at_x1_covers_the_circle():
+    assert list(major_kernel(1, 1, [0, 1, 6, -6])) == [1.0, 0.0, 0.0, 0.0]
+    with pytest.raises(ValueError):
+        major_kernel(23, 10, [0])  # 2Q^2 > X^3: the arcs overlap
 
 
 def test_arcs_pairwise_disjoint():

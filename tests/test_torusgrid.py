@@ -1,6 +1,7 @@
 """Torus-grid quadrature: FFT rows against direct summation, band-limited
 exactness, refinement, and minor-arc restriction."""
 
+import itertools
 import math
 import random
 from collections import Counter
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 from wmvlab import torusgrid
-from wmvlab.arcs import classify
+from wmvlab.arcs import classify, major_kernel
 from wmvlab.counting import moment_count
 from wmvlab.phase import FixedPhase, eval_g
 from wmvlab.torusgrid import (
@@ -127,27 +128,37 @@ def test_nan_tol_is_refused_before_any_work(monkeypatch):
                 run()
 
 
+def _means(X, s, spec, cutoffs):
+    return torusgrid._grid_means(X, s, spec, cutoffs, torusgrid._row_orbits(spec))
+
+
 def test_doubling_past_nyquist_is_stable():
-    from wmvlab.torusgrid import _grid_means
     X, s = 6, 4
     base = auto_spec_even(X, s)
-    v1 = _grid_means(X, s, base, [None])[0]
-    v2 = _grid_means(X, s, GridSpec(base.Malpha * 2, base.Mbeta * 2, X), [None])[0]
+    v1 = _means(X, s, base, [None])[0]
+    v2 = _means(X, s, GridSpec(base.Malpha * 2, base.Mbeta * 2, X), [None])[0]
     assert abs(v2 - v1) <= 1e-9 * abs(v1)
 
 
-def _unfolded_means(X, s, spec, keeps):
-    """Oracle for the folded grid means: every one of the Mbeta rows."""
-    sums = [[] for _ in keeps]
+def _unfolded_means(X, s, spec, cutoffs):
+    """Oracle for the folded grid means: every one of the Mbeta rows, and
+    for a cutoff each row's full-length rfft against the minor-arc
+    coefficients [m == 0] - K_Q(m) at every m, so it does not assume that
+    only m = 0 (mod d) survive the fold."""
+    M = spec.Malpha
+    m = np.arange(M // 2 + 1)
+    weight = np.where((m == 0) | (2 * m == M), 1.0, 2.0)
+    sums, spectrum = [], np.zeros(M // 2 + 1)
     for j in range(spec.Mbeta):
         vals = amplitude_row(X, spec, j) ** s
-        for row_sums, keep in zip(sums, keeps):
-            row_sums.append(vals.sum() if keep is None else vals[keep].sum())
-    return [math.fsum(r) / (spec.Malpha * spec.Mbeta) for r in sums]
+        sums.append(vals.sum())
+        spectrum += np.fft.rfft(vals).real
+    return [(math.fsum(sums) if T is None else
+             math.fsum(spectrum * weight * ((m == 0) - major_kernel(T, X, m))))
+            / (M * spec.Mbeta) for T in cutoffs]
 
 
 def test_folded_grid_means_match_every_row():
-    from wmvlab.torusgrid import _grid_means
     # odd sizes, odd Malpha with even Mbeta (no shift), even sizes that are
     # not powers of two (Mbeta/4 not an integer), two power-of-two grids, and
     # grids with d = gcd(6, Malpha, Mbeta) = 6, 3, 6, 3
@@ -158,13 +169,12 @@ def test_folded_grid_means_match_every_row():
              (GridSpec(576, 27, 4), 4)]
     for spec, Q in cases:
         X = spec.X
-        keep = np.flatnonzero(arc_mask(spec, Q, X))
         for s in (2, 3, 9):
-            for keeps in ([None], [keep], [None, keep]):
-                got = _grid_means(X, s, spec, keeps)
-                want = _unfolded_means(X, s, spec, keeps)
+            for cutoffs in ([None], [Q], [None, Q]):
+                got = _means(X, s, spec, cutoffs)
+                want = _unfolded_means(X, s, spec, cutoffs)
                 for g, w in zip(got, want):
-                    assert g == pytest.approx(w, rel=1e-13, abs=0), (spec, s, len(keeps))
+                    assert g == pytest.approx(w, rel=1e-13, abs=0), (spec, s, cutoffs)
 
 
 def test_rows_repeat_under_the_mod_6_shift():
@@ -198,14 +208,13 @@ def test_rows_per_grid_after_the_fold(monkeypatch):
         spec = auto_spec_even(X, s)
         assert est.spec == spec and est.exact and est.err_est == 0.0
         assert calls == [spec] * (spec.Mbeta // 4 + 1), (X, s)
-    # refinement, masked or not: one row per orbit under j -> -j and the d
+    # every level, masked or not: one row per orbit under j -> -j and the d
     # shifts, d = gcd(6, Malpha, Mbeta), which is Mbeta/(2d) + 1 rows when
     # 2d | Mbeta (Burnside: of the 2d maps the identity fixes Mbeta rows, each
     # reflection two and each shift none).  24 x 6 (d = 6) is one orbit and
-    # 36 x 9 (d = 3) two: {0, 3, 6} and the rest.  The first FFT grid is 3/4
-    # of the next even moment's exact grid for an unmasked odd ladder, that
-    # grid doubled in alpha for a masked even one (whose start level is read
-    # off it), and that grid for a masked odd one
+    # 36 x 9 (d = 3) two: {0, 3, 6} and the rest.  An odd ladder, masked or
+    # not, runs 3/4 then 9/8 of the next even moment's exact grid; a masked
+    # even one runs only that grid doubled in alpha
     for rows, run in (
             ({GridSpec(24, 6, 2): 1, GridSpec(36, 9, 2): 2},
              lambda: moment_estimate(2, 3, 1e-4)),
@@ -213,12 +222,12 @@ def test_rows_per_grid_after_the_fold(monkeypatch):
              lambda: moment_estimate(4, 9, 1e-4)),
             ({GridSpec(4096, 32, 8): 9},
              lambda: restricted_profile(8, 4, [2, 4], 1e-3)[0]),
-            ({auto_spec_even(6, 6): 9, GridSpec(1536, 48, 6): 5, GridSpec(2304, 72, 6): 7},
+            ({GridSpec(768, 24, 6): 3, GridSpec(1152, 36, 6): 4},
              lambda: restricted_profile(6, 5, [2], 1e-3)[0])):
         calls.clear()
         est = run()
         assert Counter(calls) == rows
-        assert est.spec == max(rows, key=lambda sp: sp.Malpha) and len(est.levels) >= 2
+        assert est.spec == max(rows, key=lambda sp: sp.Malpha) and len(est.levels) == len(rows)
 
 
 def test_moment_estimate_even_converges_immediately():
@@ -277,21 +286,23 @@ def _ladder(monkeypatch, run):
 
 
 def test_even_ladder_keeps_its_exact_beta_grid(monkeypatch):
-    from wmvlab.torusgrid import _grid_means
+    # a masked even moment is one level: the exact grid's Mbeta, and Malpha
+    # doubled past s X^3 so the alpha spectrum is not aliased
     for X, s, Qs in ((6, 4, [2]), (8, 4, [2, 4]), (4, 6, [2])):
-        levels = _ladder(monkeypatch, lambda: restricted_profile(X, s, Qs, 1e-3))
+        ests = []
+        levels = _ladder(monkeypatch, lambda: ests.extend(restricted_profile(X, s, Qs, 1e-3)))
         start = auto_spec_even(X, s)
-        assert levels and all(sp.Mbeta == start.Mbeta for sp in levels), (X, s)
-        # the start grid itself is never run: its level is the doubled grid's even columns
-        assert [sp.Malpha for sp in levels] == [
-            start.Malpha << k for k in range(1, len(levels) + 1)]
+        assert levels == [GridSpec(2 * start.Malpha, start.Mbeta, X)], (X, s)
+        assert levels[0].Malpha > s * X ** 3
+        for est in ests:
+            assert est.exact and est.converged and est.err_est == 0.0
+            assert est.levels == ((est.spec.Malpha, est.spec.Mbeta, est.value, None),)
     # the band-limited Mbeta already gives the exact beta mean of each alpha row
     X, s, Q = 6, 4, 2
     for spec in _ladder(monkeypatch, lambda: restricted_profile(X, s, [Q], 1e-3)):
-        keep = np.flatnonzero(arc_mask(spec, Q, X))
         finer = GridSpec(spec.Malpha, spec.Mbeta * 2, X)
-        v = _grid_means(X, s, spec, [keep])[0]
-        assert v == pytest.approx(_grid_means(X, s, finer, [keep])[0], rel=1e-13, abs=0)
+        v = _means(X, s, spec, [Q])[0]
+        assert v == pytest.approx(_means(X, s, finer, [Q])[0], rel=1e-13, abs=0)
 
 
 def test_odd_ladder_confirms_on_a_non_nested_grid(monkeypatch):
@@ -312,22 +323,6 @@ def test_odd_ladder_confirms_on_a_non_nested_grid(monkeypatch):
         assert all(sp.Malpha % 6 == 0 and sp.Mbeta % 6 == 0 for sp in grids), (X, s)
 
 
-def test_masked_even_start_level_is_read_off_the_doubled_grid(monkeypatch):
-    from wmvlab.torusgrid import _grid_means
-    for X, s, Q in ((6, 4, 2), (8, 6, 4), (8, 12, 8)):
-        start = auto_spec_even(X, s)
-        ests = []
-        ran = _ladder(monkeypatch, lambda: ests.extend(restricted_profile(X, s, [Q], 1e-3)))
-        est = ests[0]
-        assert start not in ran
-        Ma, Mb, value, delta = est.levels[0]
-        assert (Ma, Mb, delta) == (start.Malpha, start.Mbeta, None)
-        keep = np.flatnonzero(arc_mask(start, Q, X))
-        assert value == pytest.approx(_grid_means(X, s, start, [keep])[0], rel=1e-13, abs=0)
-        assert est.levels[-1] == (est.spec.Malpha, est.spec.Mbeta, est.value, est.err_est)
-        assert [lv[:2] for lv in est.levels[1:]] == [(sp.Malpha, sp.Mbeta) for sp in ran]
-
-
 def test_level_history_ends_on_the_reported_grid():
     est = moment_estimate(4, 9, 1e-3)
     assert est.levels[-1] == (est.spec.Malpha, est.spec.Mbeta, est.value, est.err_est)
@@ -339,47 +334,47 @@ def test_level_history_ends_on_the_reported_grid():
 def test_odd_ladder_true_error_against_a_finer_grid():
     # the 3/4 start confirms at 9/8 of auto_spec_start: the reported value is
     # held against a direct mean on a grid twice as fine as auto_spec_start
-    # on both sides
-    from wmvlab.torusgrid import _grid_means
-    for X in (8, 12, 16):
-        est = moment_estimate(X, 9, 1e-3)
-        start = auto_spec_start(X, 9)
-        assert est.converged
-        assert est.spec == GridSpec(start.Malpha * 9 // 8, start.Mbeta * 9 // 8, X)
+    # on both sides, masked ones included (the boolean-mask ladder was off by
+    # 9.8e-4 at (6, 5, Q = 6) while reporting err_est 9.5e-4)
+    for X, s, Qs, rel in ((8, 9, None, 1e-8), (12, 9, None, 1e-8), (16, 9, None, 1e-8),
+                          (6, 5, [2, 6], 1e-6), (12, 9, [12], 1e-8)):
+        ests = ([moment_estimate(X, s, 1e-3)] if Qs is None
+                else restricted_profile(X, s, Qs, 1e-3))
+        start = auto_spec_start(X, s)
         fine = GridSpec(2 * start.Malpha, 2 * start.Mbeta, X)
-        want = _grid_means(X, 9, fine, [None])[0]
-        assert est.value == pytest.approx(want, rel=1e-8, abs=0), X
+        wants = _means(X, s, fine, Qs or [None])
+        for est, want in zip(ests, wants):
+            assert est.converged
+            assert est.spec == GridSpec(start.Malpha * 9 // 8, start.Mbeta * 9 // 8, X)
+            assert est.value == pytest.approx(want, rel=rel, abs=0), (X, s, Qs)
 
 
-def test_masked_odd_ladder_is_unchanged(monkeypatch):
-    levels = _ladder(monkeypatch, lambda: restricted_profile(12, 9, [12], 1e-3))
-    assert levels == [GridSpec(16384, 64, 12), GridSpec(24576, 96, 12)]
-    assert levels[0] == auto_spec_start(12, 9)
+def test_masked_odd_ladder_starts_at_three_quarters_of_the_anchor(monkeypatch):
+    for X, s, Qs in ((12, 9, [12]), (6, 5, [2, 6])):
+        start = auto_spec_start(X, s)
+        levels = _ladder(monkeypatch, lambda: restricted_profile(X, s, Qs, 1e-3))
+        assert levels == [GridSpec(start.Malpha * 3 // 4, start.Mbeta * 3 // 4, X),
+                          GridSpec(start.Malpha * 9 // 8, start.Mbeta * 9 // 8, X)], (X, s)
 
 
 def test_refine_stops_before_a_level_past_the_points_guard(monkeypatch):
-    from wmvlab.torusgrid import _grid_means
     # moment_estimate(2, 3) folds its levels to 1 x 24 = 24, 2 x 36 = 72,
     # 2 x 48 = 96, 2 x 72 = 144, 3 x 96 = 288, 4 x 144 = 576, 5 x 192 = 960
-    # and 7 x 288 = 2,016 computed points; restricted_profile(8, 4) keeps
-    # Mbeta = 32, reads its 2,048 start level off the 9 x 4,096 = 36,864
-    # points of the next one, then runs 9 x 8,192 = 73,728
+    # and 7 x 288 = 2,016 computed points; restricted_profile(8, 4) is its
+    # one exact level, 9 x 4,096 = 36,864
     seventh = GridSpec(192, 48, 2)
     monkeypatch.setattr(torusgrid, "GRID_POINTS_GUARD", 1000)
     est = moment_estimate(2, 3, 1e-12)
     assert not est.converged
     assert est.spec == seventh and len(est.levels) == 7
-    assert est.value == _grid_means(2, 3, seventh, [None])[0]
+    assert est.value == _means(2, 3, seventh, [None])[0]
     assert est.err_est > 0.0
 
-    _no_grid_work(monkeypatch)
-    # only the start level could run, so there is no delta: refused, not a
-    # NaN error, and before any FFT, since that level is read off the second
-    monkeypatch.setattr(torusgrid, "GRID_POINTS_GUARD", 30_000)
-    with pytest.raises(ValueError, match="second grid level 4,096 x 32 .* points guard"):
-        restricted_profile(8, 4, [2], 1e-12)
-
     # a first level past the guard is refused before any FFT
+    _no_grid_work(monkeypatch)
+    monkeypatch.setattr(torusgrid, "GRID_POINTS_GUARD", 30_000)
+    with pytest.raises(ValueError, match="first grid level 4,096 x 32 .* points guard"):
+        restricted_profile(8, 4, [2], 1e-12)
     monkeypatch.setattr(torusgrid, "GRID_POINTS_GUARD", 20)
     with pytest.raises(ValueError, match="first grid level 24 x 6 .* points guard"):
         moment_estimate(2, 3, 1e-12)
@@ -414,7 +409,7 @@ def test_arc_mask_matches_classify_everywhere():
 
 
 def test_arc_mask_is_mirror_symmetric():
-    # the fold of restricted sums by conjugation needs mask[i] == mask[-i]
+    # the major arcs are their own mirror image, so K_Q(m) is even in m
     for X, Q, M in ((6, 2, 2048), (6, 5, 2001), (8, 3.5, 1030), (5, 11, 777),
                     (12, 12, auto_spec_start(12, 12).Malpha)):
         mask = arc_mask(GridSpec(M, 2 * X + 1, X), Q, X)
@@ -422,7 +417,8 @@ def test_arc_mask_is_mirror_symmetric():
 
 
 def test_arc_mask_on_a_doubled_grid_keeps_the_even_columns():
-    # the masked even ladder reads its start level off the doubled grid
+    # membership is decided in exact arithmetic, so a point's label does not
+    # depend on the grid it is evaluated on
     for X, Q, M in ((6, 2, 1024), (6, 5, 1000), (8, 3.5, 1030), (8, 8, 4096),
                     (5, 11, 777), (12, 12, auto_spec_even(12, 12).Malpha)):
         half = arc_mask(GridSpec(M, 2 * X + 1, X), Q, X)
@@ -453,23 +449,51 @@ def test_restricted_monotone_on_shared_grid():
     assert len({e.spec for e in ests}) == 1
 
 
+def _minor_moment_by_tuples(X, s, Q):
+    """The minor-arc s-th moment, s = 2h, with no FFT and no Ramanujan sum:
+    the sum over m of N(m) ([m == 0] - the integral of e(m alpha) over the
+    major arcs), N(m) the number of ordered (h + h)-tuples with equal linear
+    sums and cube-sum difference m, and the major integral summed arc by
+    arc, its real part (sin(2 pi m hi) - sin(2 pi m lo))/(2 pi m) with m*hi
+    reduced mod 1 in exact fractions."""
+    by_sums = Counter()
+    for xs in itertools.product(range(1, X + 1), repeat=s // 2):
+        by_sums[sum(xs), sum(x ** 3 for x in xs)] += 1
+    N = Counter()
+    for (l1, c1), w1 in by_sums.items():
+        for (l2, c2), w2 in by_sums.items():
+            if l1 == l2:
+                N[c1 - c2] += w1 * w2
+    T, x3 = Fraction(Q), X ** 3
+    arcs = [(max(Fraction(0), Fraction(a, q) - T / (q * x3)),
+             min(Fraction(1), Fraction(a, q) + T / (q * x3)))
+            for q in range(1, int(T) + 1) for a in range(q + 1) if math.gcd(a, q) == 1]
+
+    def sin_turns(m, x):
+        return math.sin(2 * math.pi * float(m * x % 1))
+
+    total = float(N[0])
+    for m, n in N.items():
+        for lo, hi in arcs:
+            total -= n * (float(hi - lo) if m == 0 else
+                          (sin_turns(m, hi) - sin_turns(m, lo)) / (2 * math.pi * m))
+    return total
+
+
 def test_restricted_against_masked_direct_oracle():
-    """Q=1, X=8, s=4: direct masked quadrature on the final grid."""
-    est = restricted_profile(8, 4, [1], 1e-3)[0]
-    spec = est.spec
-    X = 8
-    x = np.arange(1, X + 1)
-    i = np.arange(spec.Malpha)
-    alpha_part = np.exp(2j * np.pi * np.outer((x ** 3) % spec.Malpha, i) / spec.Malpha)
-    keep = np.flatnonzero(arc_mask(spec, 1, X))
-    total = 0.0
-    for j in range(spec.Mbeta):
-        w = np.exp(2j * np.pi * ((j * x) % spec.Mbeta) / spec.Mbeta)
-        g = np.abs(w @ alpha_part[:, keep])
-        total += float((g ** 4).sum())
-    oracle = total / (spec.Malpha * spec.Mbeta)
-    assert est.value == pytest.approx(oracle, rel=1e-9)
-    assert est.converged and not est.exact
+    # an even minor-arc moment is one exact level on the doubled grid
+    for X, s, Q in ((4, 4, 2), (6, 4, 2), (6, 4, 6), (8, 4, 1), (8, 4, 8),
+                    (5, 6, 3), (6, 6, 6)):
+        est = restricted_profile(X, s, [Q], 1e-3)[0]
+        assert est.value == pytest.approx(_minor_moment_by_tuples(X, s, Q), rel=1e-12), (X, s, Q)
+        assert est.converged and est.exact and est.err_est == 0.0 and len(est.levels) == 1
+
+
+def test_restricted_at_x1_is_zero():
+    # at X = 1 the one arc |alpha| <= 1 covers the circle: the minor set is empty
+    for s in (4, 5):
+        est = restricted_profile(1, s, [1], 1e-3)[0]
+        assert est.value == 0.0 and est.converged, s
 
 
 def test_restricted_profile_guards():
