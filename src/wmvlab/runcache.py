@@ -49,7 +49,10 @@ CSV_HEADER = ["run_id", "op", "X", "s", "Q", "k", "alpha",
 # 10: minor-arc masks act on the Fourier side, through the major-arc
 #    kernel K_Q(m) (restricted-sweep values move by up to about 1e-3
 #    relative, even s become exact with err_est 0; grid-sweep is unchanged).
-ENGINE_VERSION = 10
+# 11: exact even grids are the least whose sides 6 divides, not powers of
+#    two (even grid-sweep and restricted-sweep values move in their last
+#    bits; odd ones are unchanged).
+ENGINE_VERSION = 11
 
 _MANIFEST = {"digest_algorithm": "sha256", "engine_version": ENGINE_VERSION,
              "layout": "one-group-per-file", "version": 1}

@@ -9,7 +9,8 @@ Most rows repeat others: conjugation gives |g(-alpha, -beta)| = |g|, and
 x^3 = x (mod 6) gives g(alpha + k/6, beta - k/6) = g.  With d = gcd(6,
 Malpha, Mbeta) the grid admits the shifts by k/d, so one row stands for its
 orbit under j -> -j and j -> j - k*Mbeta/d: Mbeta/(2d) + 1 rows when
-2d | Mbeta, Mbeta/4 + 1 on the power-of-two grids.  Each member is the
+2d | Mbeta, so Mbeta/12 + 1 on the exact even grids, which 6 divides, and
+Mbeta/4 + 1 on the power-of-two ladder anchors.  Each member is the
 representative row mirrored and shifted in alpha, so an orbit's alpha
 spectrum lives on m = 0 (mod d), where it is the spectrum of the row folded
 to length Malpha/d.
@@ -23,15 +24,16 @@ by (s/2)X, so the plain grid mean is the exact integral once the grid
 exceeds those band limits, and with Malpha > sX^3 the alpha spectrum is not
 aliased, so the masked mean is exact too.
 
-One driver, _refine, picks, prices and sums every grid.  It anchors each
-ladder on the band-limited grid of the next even moment s + s % 2.  Even s
-is exact in one level: that grid unmasked, that grid with Malpha doubled
-masked.  Odd s, masked or not, is refined until successive levels agree,
-each comparison costing one new grid: it starts at 3/4 of the anchor,
-confirms at 9/8 of it, both grids folded by all six shifts, and steps by
-4/3 where 9 | Malpha and by 3/2 elsewhere, so each confirming grid is not
-nested in the one it checks.  The reported error is the last step's delta,
-a heuristic and labeled as such.
+One driver, _refine, picks, prices and sums every grid.  Even s is exact
+in one level, on the least grid past its band limits whose sides 6 divides
+(Malpha = 2^a 3^b past sX^3 when masked).  Odd s, masked or not, anchors
+its ladder on the power-of-two grid past the band limits of the next even
+moment s + 1 and is refined until successive levels agree, each comparison
+costing one new grid: it starts at 3/4 of the anchor, confirms at 9/8 of
+it, both grids folded by all six shifts, and steps by 4/3 where 9 | Malpha
+and by 3/2 elsewhere, so each confirming grid is not nested in the one it
+checks.  The reported error is the last step's delta, a heuristic and
+labeled as such.
 """
 
 from __future__ import annotations
@@ -56,7 +58,9 @@ class GridSpec:
     """Grid sizes for one quadrature level.
 
     The floors Malpha >= 2X^3+1, Mbeta >= 2X+1 keep |g|^2 below Nyquist on
-    any grid this type admits; the auto-choosers round up to powers of two.
+    any grid this type admits; the auto-choosers round the band limits of
+    _band_limits up, auto_spec_even to sides that 6 divides and
+    auto_spec_start to powers of two.
     """
 
     Malpha: int
@@ -94,18 +98,34 @@ def _pow2_at_least(n: int) -> int:
     return 1 << max(0, (int(n) - 1).bit_length())
 
 
+def _smooth_above(n: int) -> int:
+    """Least 2^a 3^b > n with a, b >= 1, so 6 divides it."""
+    return min(3 ** b * _pow2_at_least(max(2, n // 3 ** b + 1))
+               for b in range(1, n.bit_length() + 2))
+
+
+def _band_limits(X: int, s: int) -> Tuple[int, int]:
+    """(alpha, beta) limits that a grid must strictly exceed for the even
+    moment s to be exact: |g|^s has alpha frequencies below (s/2)X^3 and beta
+    frequencies below (s/2)X, and the GridSpec floors ask for 2X^3 and 2X."""
+    h = max(2, s // 2)
+    return h * X ** 3, h * X
+
+
 def auto_spec_even(X: int, s: int) -> GridSpec:
-    """Smallest power-of-two grid exact for the s-th even moment."""
-    ma = _pow2_at_least(max(2 * X ** 3, (s // 2) * X ** 3) + 1)
-    mb = _pow2_at_least(max(2 * X, (s // 2) * X) + 1)
-    return GridSpec(ma, mb, X)
+    """Least grid past the band limits of the even moment s whose sides 6
+    divides: Malpha = 2^a 3^b and Mbeta a multiple of 6, so every level folds
+    by all six shifts and has Mbeta/12 + 1 rows."""
+    ma, mb = _band_limits(X, s)
+    return GridSpec(_smooth_above(ma), 6 * (mb // 6 + 1), X)
 
 
 def auto_spec_start(X: int, s: int) -> GridSpec:
-    """Anchor of the refinement ladder: the band-limited grid of the next
-    even moment, where |g|^(s + s % 2) is exact.  _refine says where each
-    kind of ladder starts relative to it."""
-    return auto_spec_even(X, s + s % 2)
+    """Anchor of an odd refinement ladder: the power-of-two grid past the
+    band limits of the next even moment s + s % 2, where |g|^(s + s % 2) is
+    exact.  _refine starts odd ladders at 3/4 of it."""
+    ma, mb = _band_limits(X, s + s % 2)
+    return GridSpec(_pow2_at_least(ma + 1), _pow2_at_least(mb + 1), X)
 
 
 def amplitude_row(X: int, spec: GridSpec, j_beta: int) -> np.ndarray:
@@ -160,16 +180,13 @@ def _shift_order(spec: GridSpec) -> int:
 
 def _row_orbits(spec: GridSpec) -> List[Tuple[int, int]]:
     """(least row, size) of each beta-row orbit under j -> -j and
-    j -> j - k*Mbeta/d, d = _shift_order(spec).  A shift fixes no row and at
-    most one reflection fixes a given row, so a size is 2d or d."""
-    M = spec.Mbeta
-    step = M // _shift_order(spec)
-    out = []
-    for j in range(M):
-        orbit = {(sign * j - t) % M for sign in (1, -1) for t in range(0, M, step)}
-        if j == min(orbit):
-            out.append((j, len(orbit)))
-    return out
+    j -> j - k*Mbeta/d, d = _shift_order(spec).  The shifts leave j mod
+    step = Mbeta/d, so an orbit is the residues r and -r mod step, least
+    row r <= step/2; a shift fixes no row, so its size is d when r = -r
+    (mod step) and 2d otherwise."""
+    d = _shift_order(spec)
+    step = spec.Mbeta // d
+    return [(r, d if 2 * r % step == 0 else 2 * d) for r in range(step // 2 + 1)]
 
 
 def _grid_means(X: int, s: int, spec: GridSpec, cutoffs: Sequence[Optional[Fraction]],
@@ -223,16 +240,16 @@ def _refine(X: int, s: int, cutoffs: Sequence[Optional[Fraction]], tol: float
     """The quadrature driver: means of |g|^s over the minor arcs at each
     cutoff Q (None: the whole torus), one MomentEstimate per cutoff on a
     common final grid, by _grid_means on one row per orbit of _row_orbits.
-    The ladder's anchor is auto_spec_start(X, s).
 
-    Even s is exact in one level (err_est 0).  Unmasked, that level is the
-    anchor; masked, it is the anchor with Malpha doubled, since Malpha >
-    s X^3 keeps the alpha spectrum of |g|^s unaliased, so its Fourier-side
-    mask is exact too.  Odd s, masked or not, starts at 3/4 of the anchor on
-    both sides, where the GridSpec floors admit it, and so confirms at 9/8
-    of it; it steps by _next_level until each value is within tol of the
-    last level's, and carries that delta as err_est.  Each estimate's
-    `levels` holds every level.
+    Even s is exact in one level (err_est 0).  Unmasked, that level is
+    auto_spec_even(X, s); masked, its Malpha is the least 2^a 3^b past
+    s X^3, which keeps the alpha spectrum of |g|^s unaliased, so its
+    Fourier-side mask is exact too.  6 divides both sides either way, so the
+    level folds by all six shifts.  Odd s, masked or not, starts at 3/4 of
+    auto_spec_start(X, s) on both sides, where the GridSpec floors admit
+    it, and so confirms at 9/8 of it; it steps by _next_level until each
+    value is within tol of the last level's, and carries that delta as
+    err_est.  Each estimate's `levels` holds every level.
 
     A level past MALPHA_GUARD, or whose computed rows x Malpha pass
     GRID_POINTS_GUARD, is not run: the last level's values, deltas and spec
@@ -245,13 +262,15 @@ def _refine(X: int, s: int, cutoffs: Sequence[Optional[Fraction]], tol: float
     if not cutoffs:
         return []
     exact = s % 2 == 0
-    spec = auto_spec_start(X, s)
-    if not exact:  # at 3/4 of the anchor, if the GridSpec floors admit it
+    if exact:
+        spec = auto_spec_even(X, s)
+        if any(T is not None for T in cutoffs):  # Malpha > s X^3: no aliasing
+            spec = GridSpec(_smooth_above(s * X ** 3), spec.Mbeta, X)
+    else:  # at 3/4 of the anchor, if the GridSpec floors admit it
+        spec = auto_spec_start(X, s)
         ma, mb = 3 * spec.Malpha // 4, 3 * spec.Mbeta // 4
         if ma > 2 * X ** 3 and mb > 2 * X:
             spec = GridSpec(ma, mb, X)
-    elif any(T is not None for T in cutoffs):  # Malpha > s X^3: no aliasing
-        spec = GridSpec(2 * spec.Malpha, spec.Mbeta, X)
     levels: List[Tuple[GridSpec, List[float], Optional[List[float]]]] = []
     converged = False
     while spec.Malpha <= MALPHA_GUARD:
@@ -328,7 +347,7 @@ def restricted_profile(X: int, s: int, Qs: Sequence[RealLike],
                        tol: float) -> List[MomentEstimate]:
     """Minor-arc moments I_s^*(X; Q), 1 <= Q <= X: the integral of |g|^s over
     the alpha minor at (Q, X), by _refine with the mask on the Fourier side.
-    Even s is exact in one level on the anchor grid with Malpha doubled
+    Even s is exact in one level whose Malpha = 2^a 3^b exceeds s X^3
     (exact=True, err_est 0); odd s is refined on one shared ladder until
     the worst cutoff stabilizes.  Rows are computed once per level and
     re-used for every cutoff, so the values share a final grid.  Larger Q

@@ -84,13 +84,13 @@ def test_grid_past_the_guards_is_refused_before_any_work(tmp_path, monkeypatch, 
         raise AssertionError("grid work started")
 
     monkeypatch.setattr(torusgrid, "amplitude_row", refuse)
-    # I12 at X = 100 is exact on 2^23 x 1,024: 257 folded rows, 2.2e9 points
-    refusal = "first grid level 8,388,608 x 1,024 exceeds the 2^28 Malpha or 2^30 points guard"
-    assert run_cli("grid", "--X", "100", "--s", "12") == 1
+    # I12 at X = 150 is exact on 21,233,664 x 906: 76 folded rows, 1.6e9 points
+    refusal = "first grid level 21,233,664 x 906 exceeds the 2^28 Malpha or 2^30 points guard"
+    assert run_cli("grid", "--X", "150", "--s", "12") == 1
     assert refusal in capsys.readouterr().err
 
     plan = tmp_path / "plan.ini"
-    plan.write_text("[grid-sweep]\nx = 100\ns = 12\n")
+    plan.write_text("[grid-sweep]\nx = 150\ns = 12\n")
     out, cache = tmp_path / "out.csv", tmp_path / "cache"
     assert run_cli("run", "--config", str(plan), "--out", str(out),
                    "--cache-dir", str(cache)) == 1

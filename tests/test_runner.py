@@ -127,6 +127,28 @@ def test_cache_from_another_engine_version_is_refused(tmp_path, capsys):
     assert ResultCache(str(fresh)).lookup([("moment_count", {"X": 4, "s": 6})]) is not None
 
 
+def test_a_version_10_cache_is_refused_and_never_replayed(tmp_path, capsys):
+    # engine 11 moves exact even grid values in their last bits, so what an
+    # engine 10 directory holds for the same keys must not come back
+    assert ENGINE_VERSION == 11
+    plan = _plan(tmp_path, "[grid-sweep]\nx = 4\ns = 6\n")
+    cache, first, again = tmp_path / "cache", tmp_path / "first.csv", tmp_path / "again.csv"
+    assert cli.main(["run", "--config", plan, "--cache-dir", str(cache), "--out", str(first)]) == 0
+    manifest = cache / "manifest.json"
+    stamped = json.loads(manifest.read_text())
+    stamped["engine_version"] = 10
+    manifest.write_text(json.dumps(stamped))
+    before = {name: (cache / name).read_bytes() for name in os.listdir(cache)}
+
+    assert cli.main(["run", "--config", plan, "--cache-dir", str(cache), "--out", str(again)]) == 1
+    assert ("holds results of engine version 10, not the current 11; use a fresh --cache-dir"
+            in capsys.readouterr().err)
+    assert not again.exists()
+    assert {name: (cache / name).read_bytes() for name in os.listdir(cache)} == before
+    with pytest.raises(CacheVersionMismatch, match="use a fresh --cache-dir"):
+        ResultCache(str(cache))
+
+
 def test_tampered_value_raises_cache_corruption(tmp_path):
     cache = ResultCache(str(tmp_path))
     key = ("moment_count", {"X": 8, "s": 2})

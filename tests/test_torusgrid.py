@@ -108,12 +108,14 @@ def _no_grid_work(monkeypatch):
 
 def test_even_moments_pass_the_drivers_first_level_gate(monkeypatch):
     _no_grid_work(monkeypatch)
-    # 257 rows x 2^23 (X = 100) and 513 rows x 2^28 (X = 300) computed points
-    for X in (100, 300):
+    # 76 rows x 21,233,664 = 1.6e9 (X = 150) and 151 rows x 169,869,312 =
+    # 2.6e10 (X = 300) computed points
+    for X in (150, 300):
         with pytest.raises(ValueError, match="first grid level .* 2\\^28 Malpha or 2\\^30 points"):
             even_moment_exact(X, 12)
+    # I4 at X = 3 is exact on 72 x 12: 2 rows x 72 = 144 computed points
     monkeypatch.setattr(torusgrid, "GRID_POINTS_GUARD", 50)
-    for run in (lambda: even_moment_exact(2, 4), lambda: moment_estimate(2, 4, 1e-6)):
+    for run in (lambda: even_moment_exact(3, 4), lambda: moment_estimate(3, 4, 1e-6)):
         with pytest.raises(ValueError, match="first grid level"):
             run()
 
@@ -161,12 +163,13 @@ def _unfolded_means(X, s, spec, cutoffs):
 def test_folded_grid_means_match_every_row():
     # odd sizes, odd Malpha with even Mbeta (no shift), even sizes that are
     # not powers of two (Mbeta/4 not an integer), two power-of-two grids, and
-    # grids with d = gcd(6, Malpha, Mbeta) = 6, 3, 6, 3
+    # grids with d = gcd(6, Malpha, Mbeta) = 6, 3, 6, 3, 6, the last the exact
+    # even grid 216 x 18
     cases = [(GridSpec(17, 5, 2), 2), (GridSpec(17, 6, 2), 2),
-             (GridSpec(60, 14, 3), 3), (auto_spec_even(4, 6), 3),
+             (GridSpec(60, 14, 3), 3), (auto_spec_start(4, 6), 3),
              (auto_spec_start(3, 9), 2), (GridSpec(24, 6, 2), 2),
              (GridSpec(27, 9, 2), 2), (GridSpec(96, 24, 3), 3),
-             (GridSpec(576, 27, 4), 4)]
+             (GridSpec(576, 27, 4), 4), (auto_spec_even(4, 6), 3)]
     for spec, Q in cases:
         X = spec.X
         for s in (2, 3, 9):
@@ -198,29 +201,31 @@ def test_rows_per_grid_after_the_fold(monkeypatch):
         return amplitude_row(X, spec, j)
 
     monkeypatch.setattr(torusgrid, "amplitude_row", counted)
-    for X, s in ((2, 2), (6, 4), (8, 6)):
+    # an exact even grid folds by all six shifts: Mbeta/12 + 1 rows, one on
+    # 18 x 6, two on 486 x 18 and three on 1,728 x 30
+    for X, s, rows in ((2, 2, 1), (6, 4, 2), (8, 6, 3)):
         calls.clear()
         est = even_moment_exact(X, s)
-        assert len(calls) == est.spec.Mbeta // 4 + 1, (X, s)
+        assert len(calls) == est.spec.Mbeta // 12 + 1 == rows, (X, s)
         # even s in moment_estimate: that one band-limited grid, no refinement
         calls.clear()
         est = moment_estimate(X, s, 1e-6)
         spec = auto_spec_even(X, s)
         assert est.spec == spec and est.exact and est.err_est == 0.0
-        assert calls == [spec] * (spec.Mbeta // 4 + 1), (X, s)
+        assert calls == [spec] * rows, (X, s)
     # every level, masked or not: one row per orbit under j -> -j and the d
     # shifts, d = gcd(6, Malpha, Mbeta), which is Mbeta/(2d) + 1 rows when
     # 2d | Mbeta (Burnside: of the 2d maps the identity fixes Mbeta rows, each
     # reflection two and each shift none).  24 x 6 (d = 6) is one orbit and
     # 36 x 9 (d = 3) two: {0, 3, 6} and the rest.  An odd ladder, masked or
-    # not, runs 3/4 then 9/8 of the next even moment's exact grid; a masked
-    # even one runs only that grid doubled in alpha
+    # not, runs 3/4 then 9/8 of the next even moment's power-of-two grid; a
+    # masked even one runs one grid, Malpha the least 2^a 3^b past s X^3
     for rows, run in (
             ({GridSpec(24, 6, 2): 1, GridSpec(36, 9, 2): 2},
              lambda: moment_estimate(2, 3, 1e-4)),
             ({GridSpec(384, 24, 4): 3, GridSpec(576, 36, 4): 4},
              lambda: moment_estimate(4, 9, 1e-4)),
-            ({GridSpec(4096, 32, 8): 9},
+            ({GridSpec(2304, 18, 8): 2},
              lambda: restricted_profile(8, 4, [2, 4], 1e-3)[0]),
             ({GridSpec(768, 24, 6): 3, GridSpec(1152, 36, 6): 4},
              lambda: restricted_profile(6, 5, [2], 1e-3)[0])):
@@ -287,12 +292,12 @@ def _ladder(monkeypatch, run):
 
 def test_even_ladder_keeps_its_exact_beta_grid(monkeypatch):
     # a masked even moment is one level: the exact grid's Mbeta, and Malpha
-    # doubled past s X^3 so the alpha spectrum is not aliased
-    for X, s, Qs in ((6, 4, [2]), (8, 4, [2, 4]), (4, 6, [2])):
+    # the least 2^a 3^b past s X^3 so the alpha spectrum is not aliased
+    for X, s, Qs, Malpha in ((6, 4, [2], 972), (8, 4, [2, 4], 2304), (4, 6, [2], 432)):
         ests = []
         levels = _ladder(monkeypatch, lambda: ests.extend(restricted_profile(X, s, Qs, 1e-3)))
         start = auto_spec_even(X, s)
-        assert levels == [GridSpec(2 * start.Malpha, start.Mbeta, X)], (X, s)
+        assert levels == [GridSpec(Malpha, start.Mbeta, X)], (X, s)
         assert levels[0].Malpha > s * X ** 3
         for est in ests:
             assert est.exact and est.converged and est.err_est == 0.0
@@ -360,8 +365,8 @@ def test_masked_odd_ladder_starts_at_three_quarters_of_the_anchor(monkeypatch):
 def test_refine_stops_before_a_level_past_the_points_guard(monkeypatch):
     # moment_estimate(2, 3) folds its levels to 1 x 24 = 24, 2 x 36 = 72,
     # 2 x 48 = 96, 2 x 72 = 144, 3 x 96 = 288, 4 x 144 = 576, 5 x 192 = 960
-    # and 7 x 288 = 2,016 computed points; restricted_profile(8, 4) is its
-    # one exact level, 9 x 4,096 = 36,864
+    # and 7 x 288 = 2,016 computed points; restricted_profile(16, 4) is its
+    # one exact level, 4 x 17,496 = 69,984
     seventh = GridSpec(192, 48, 2)
     monkeypatch.setattr(torusgrid, "GRID_POINTS_GUARD", 1000)
     est = moment_estimate(2, 3, 1e-12)
@@ -373,8 +378,8 @@ def test_refine_stops_before_a_level_past_the_points_guard(monkeypatch):
     # a first level past the guard is refused before any FFT
     _no_grid_work(monkeypatch)
     monkeypatch.setattr(torusgrid, "GRID_POINTS_GUARD", 30_000)
-    with pytest.raises(ValueError, match="first grid level 4,096 x 32 .* points guard"):
-        restricted_profile(8, 4, [2], 1e-12)
+    with pytest.raises(ValueError, match="first grid level 17,496 x 36 .* points guard"):
+        restricted_profile(16, 4, [2], 1e-12)
     monkeypatch.setattr(torusgrid, "GRID_POINTS_GUARD", 20)
     with pytest.raises(ValueError, match="first grid level 24 x 6 .* points guard"):
         moment_estimate(2, 3, 1e-12)
@@ -513,6 +518,74 @@ def test_restricted_profile_of_no_cutoffs_is_empty(monkeypatch):
 def test_auto_spec_choices():
     even = auto_spec_even(4, 6)
     assert even.Malpha >= 3 * 64 + 1 and even.Mbeta >= 3 * 4 + 1
-    assert even.Malpha & (even.Malpha - 1) == 0
+    assert even == GridSpec(216, 18, 4)  # 2^3 3^3 and 3 x 6
     start = auto_spec_start(4, 9)
     assert start.Malpha >= 2 * 64 + 1 and start.Mbeta >= 2 * 4 + 1
+    assert start == GridSpec(512, 32, 4)  # odd ladders anchor on powers of two
+
+
+def _is_2a3b(n):
+    """n = 2^a 3^b with a, b >= 1."""
+    a = b = 0
+    while n % 2 == 0:
+        n, a = n // 2, a + 1
+    while n % 3 == 0:
+        n, b = n // 3, b + 1
+    return n == 1 and a >= 1 and b >= 1
+
+
+def test_exact_even_grids_are_the_least_that_6_divides(monkeypatch):
+    calls = []
+
+    def counted(X, spec, j):  # grid choice and row count only: no FFT
+        calls.append(spec)
+        return np.ones(spec.Malpha)
+
+    monkeypatch.setattr(torusgrid, "amplitude_row", counted)
+    smooth = sorted(2 ** a * 3 ** b for a in range(1, 40) for b in range(1, 25))
+    for X in range(1, 25):
+        for s in range(2, 13, 2):
+            beta_limit = max(2 * X, s // 2 * X)
+            for masked in (False, True):
+                alpha_limit = s * X ** 3 if masked else max(2 * X ** 3, s // 2 * X ** 3)
+                calls.clear()
+                est = (restricted_profile(X, s, [1], 1e-3)[0] if masked
+                       else even_moment_exact(X, s))
+                spec = est.spec
+                assert spec.Malpha % 6 == 0 and spec.Mbeta % 6 == 0, spec
+                assert _is_2a3b(spec.Malpha), spec
+                assert spec.Malpha > alpha_limit and spec.Mbeta > beta_limit, spec
+                # by brute force, no smaller candidate passes either limit
+                assert not [m for m in smooth if alpha_limit < m < spec.Malpha], spec
+                assert not [m for m in range(beta_limit + 1, spec.Mbeta) if m % 6 == 0], spec
+                assert calls == [spec] * len(torusgrid._row_orbits(spec)), (X, s, masked)
+                assert len(calls) == spec.Mbeta // 12 + 1
+                if not masked:
+                    assert spec == auto_spec_even(X, s)
+
+
+def _orbits_by_sets(spec):
+    """The literal orbits of j -> -j and j -> j - k*Mbeta/d as sets."""
+    M = spec.Mbeta
+    step = M // torusgrid._shift_order(spec)
+    seen, out = set(), []
+    for j in range(M):
+        if j not in seen:
+            orbit = {(sign * j - t) % M for sign in (1, -1) for t in range(0, M, step)}
+            seen |= orbit
+            out.append((j, len(orbit)))
+    return out
+
+
+def test_row_orbits_closed_form_matches_the_orbit_sets():
+    # Malpha 1,025, 1,024, 1,029 and 1,026 give d = 1, 2, 3 and 6 with the
+    # Mbeta that 6 divides, and odd Mbeta or Mbeta prime to 3 cut d down
+    ds = Counter()
+    for Malpha in (1025, 1024, 1029, 1026):
+        for Mbeta in range(3, 100):
+            spec = GridSpec(Malpha, Mbeta, 1)
+            ds[torusgrid._shift_order(spec)] += 1
+            orbits = torusgrid._row_orbits(spec)
+            assert orbits == _orbits_by_sets(spec), spec
+            assert sum(size for _, size in orbits) == Mbeta
+    assert set(ds) == {1, 2, 3, 6}
