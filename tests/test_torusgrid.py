@@ -524,16 +524,6 @@ def test_auto_spec_choices():
     assert start == GridSpec(512, 32, 4)  # odd ladders anchor on powers of two
 
 
-def _is_2a3b(n):
-    """n = 2^a 3^b with a, b >= 1."""
-    a = b = 0
-    while n % 2 == 0:
-        n, a = n // 2, a + 1
-    while n % 3 == 0:
-        n, b = n // 3, b + 1
-    return n == 1 and a >= 1 and b >= 1
-
-
 def test_exact_even_grids_are_the_least_that_6_divides(monkeypatch):
     calls = []
 
@@ -542,7 +532,7 @@ def test_exact_even_grids_are_the_least_that_6_divides(monkeypatch):
         return np.ones(spec.Malpha)
 
     monkeypatch.setattr(torusgrid, "amplitude_row", counted)
-    smooth = sorted(2 ** a * 3 ** b for a in range(1, 40) for b in range(1, 25))
+    smooth = {2 ** a * 3 ** b for a in range(1, 40) for b in range(1, 25)}  # a, b >= 1
     for X in range(1, 25):
         for s in range(2, 13, 2):
             beta_limit = max(2 * X, s // 2 * X)
@@ -553,7 +543,7 @@ def test_exact_even_grids_are_the_least_that_6_divides(monkeypatch):
                        else even_moment_exact(X, s))
                 spec = est.spec
                 assert spec.Malpha % 6 == 0 and spec.Mbeta % 6 == 0, spec
-                assert _is_2a3b(spec.Malpha), spec
+                assert spec.Malpha in smooth, spec
                 assert spec.Malpha > alpha_limit and spec.Mbeta > beta_limit, spec
                 # by brute force, no smaller candidate passes either limit
                 assert not [m for m in smooth if alpha_limit < m < spec.Malpha], spec
