@@ -130,11 +130,14 @@ def _theta_grid(spec: str) -> List[float]:
     lo, hi, step = (float(p) for p in parts)
     if step <= 0:
         raise ValueError("step must be positive")
+    if lo > hi:
+        raise ValueError(f"theta grid lo = {lo} exceeds hi = {hi}")
     n = int(round((hi - lo) / step))
     if n + 1 > LIST_CAP:
         raise ValueError(f"a theta grid of {n + 1:,} values exceeds the {LIST_CAP:,} cap")
     grid = [lo + i * step for i in range(n + 1)]
-    return [t for t in grid if t <= hi + 1e-12]
+    # a point past hi by rounding alone (0.1 + 29 * 0.1 > 3) is hi itself
+    return [min(t, hi) for t in grid if t <= hi + 1e-12]
 
 
 def _cmd_identity(args) -> int:

@@ -11,7 +11,8 @@ Tuples with different linear sums n never balance, so the counter streams
 over n: it enumerates the sorted h-multisets of a batch of consecutive
 slabs, weights each by its h!/prod(mult!) orderings, and sums
 weight_a * weight_b over shared keys.  Memory is O(largest batch), not
-O(unique keys).
+O(unique keys).  At h = 1 slab n is the one value x = n, a key of weight 1,
+so the count is X and nothing is enumerated.
 """
 
 from __future__ import annotations
@@ -75,7 +76,8 @@ def _shared_key_count(X: int, h: int, square: bool) -> int:
     Batches of consecutive slabs hold about 2^14 multisets, fewer where the
     packed int64 sort key (slab offset, square-sum, cube-sum, weight) would
     overflow.  Refuses more than MULTISET_GUARD multisets, or one slab's
-    keys past the int64 width, saying why.
+    keys past the int64 width, saying why; at h = 1 too, which then
+    returns X without enumerating (one key of weight 1 per slab).
     """
     if X < 1:
         raise ValueError("X must be positive")
@@ -88,16 +90,14 @@ def _shared_key_count(X: int, h: int, square: bool) -> int:
     slab_span = ((sq_span if square else 1) * cube_span) << wbits
     if slab_span > _INT64_MAX:
         raise ValueError(f"keys of {h}-multisets over [1, {X}] exceed the packed int64 width")
-    width = max(1, _BATCH * (h * (X - 1) + 1) // multisets)
-    if h > 1:
-        width = min(width, _INT64_MAX // slab_span)
+    if h == 1:
+        # one value x = n per slab, its own key of weight 1, so sum W^2 = X
+        return X
+    width = min(max(1, _BATCH * (h * (X - 1) + 1) // multisets), _INT64_MAX // slab_span)
 
     def weights(n_lo: int, n_hi: int) -> np.ndarray:
-        # ordered tuples per key of slabs n_lo..n_hi; an h = 1 batch has one
-        # value per slab, keys already strictly increasing, so no sort
+        # ordered tuples per key of slabs n_lo..n_hi
         lin, sq, cube, weight = _multisets(X, h, n_lo, n_hi, square)
-        if h == 1:
-            return weight
         key = lin - n_lo
         if square:
             key = key * sq_span + sq

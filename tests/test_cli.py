@@ -183,6 +183,13 @@ def test_lists_past_the_value_cap_are_refused(capsys):
     assert run_cli("bounds", "curves", "--theta", "0:3:1e-12") == 1
     assert "theta grid of 3,000,000,000,001 values exceeds the 1,000,000 cap" \
         in capsys.readouterr().err
+    # a grid that runs backwards is refused, not printed as a bare header
+    assert run_cli("bounds", "curves", "--theta", "3:0:0.1") == 1
+    captured = capsys.readouterr()
+    assert "theta grid lo = 3.0 exceeds hi = 0.0" in captured.err
+    assert captured.out == ""
+    assert run_cli("bounds", "curves", "--theta", "3:3:0.1") == 0
+    assert len(capsys.readouterr().out.splitlines()) == 2  # header + theta = 3
     assert run_cli("restricted", "--X", "8", "--Q", "1..1000000000") == 1
     assert "1,000,000,000 values exceeds the 1,000,000 cap" in capsys.readouterr().err
 
@@ -195,6 +202,11 @@ def test_bounds_curves_stdout_and_file(tmp_path, capsys):
     assert float(rows[-1][0]) == 3.0
     # at theta = 3 the two refined exponents coincide
     assert float(rows[-1][2]) == pytest.approx(float(rows[-1][3]), abs=1e-15)
+    # 0.1 + 29 * 0.1 rounds past k/2 = 3; the last point is 3 itself
+    assert run_cli("bounds", "curves", "--k", "6", "--theta", "0.1:3:0.1") == 0
+    rows = list(csv.reader(capsys.readouterr().out.splitlines()))
+    assert len(rows) == 31  # header + 30 grid points
+    assert float(rows[-1][0]) == 3.0
 
     path = tmp_path / "curves.csv"
     assert run_cli("bounds", "curves", "--k", "8", "--theta", "0:1:0.25",

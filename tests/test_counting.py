@@ -135,7 +135,8 @@ def test_closed_forms():
     # X = 1000 splits its 1999 slabs into batches of 261: the last is short
     for X in [1, 2, 17, 60, 1000] + [rng.randrange(1, 201) for _ in range(6)]:
         assert moment_count(X, 4) == 2 * X * X - X
-    # X = 70000 is two batches of single values
+    # I2 = X for one variable per side, up to X = 70000, well inside the
+    # int64 key width that caps s = 2
     for X in (1, 2, 97, 1000, 4096, 70_000):
         assert moment_count(X, 2) == X
     for X in (2, 5, 20, 60):
@@ -253,6 +254,26 @@ def test_vinogradov_j_guards():
         vinogradov_j(5, 7)
     with pytest.raises(ValueError):
         vinogradov_j(0, 6)
+
+
+def test_one_variable_per_side_enumerates_nothing(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("h = 1 enumerated multisets")
+
+    monkeypatch.setattr(counting, "_multisets", refuse)
+    for X in (1, 2, 16_384, 16_385, 70_000):
+        assert moment_count(X, 2) == X
+    # the square-sum widens the key, so the key-width refusal stops the
+    # (sum, square, cube) counts at X = 5404, before 16,384
+    for X in (1, 2, 5_404):
+        assert vinogradov_count(X, 2) == X
+        assert vinogradov_j(X, 1) == X
+    with pytest.raises(ValueError, match="exceed the packed int64 width"):
+        vinogradov_count(5_405, 2)
+    with pytest.raises(ValueError, match="exceed the packed int64 width"):
+        vinogradov_j(5_405, 1)
+    with pytest.raises(ValueError, match="exceed the packed int64 width"):
+        moment_count(2 * 10 ** 6, 2)
 
 
 def test_enumeration_guard():
