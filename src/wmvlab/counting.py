@@ -9,7 +9,8 @@ identity together with its reciprocal-distance majorant.
 
 Tuples with different linear sums n never balance, so the counter streams
 over n: it enumerates the sorted h-multisets of a batch of consecutive
-slabs, weights each by its h!/prod(mult!) orderings, and sums
+slabs as packed int64 keys, the last coordinate placed as an offset into
+its prefix's key, weights each by its h!/prod(mult!) orderings, and sums
 weight_a * weight_b over shared keys.  Memory is O(largest batch), not
 O(unique keys).  At h = 1 slab n is the one value x = n, a key of weight 1,
 so the count is X and nothing is enumerated.
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from typing import Tuple
 
 import numpy as np
@@ -26,7 +28,7 @@ import numpy as np
 from .phase import (BLOCK_TERMS, FixedPhase, add_limbs, fold_half, fsum_carry,
                     phase_limbs, unit_terms)
 
-MULTISET_GUARD = 10 ** 8  # cap on sorted h-multisets per count (9 s at h = 3, 16 s at h = 6)
+MULTISET_GUARD = 10 ** 8  # cap on sorted h-multisets per count (7 s at h = 3, 11-13 s at h = 6)
 IDENTITY_GUARD = 10 ** 8  # cap on u_identity_rhs terms, (2X^3 + X)/3: X <= 531, 3-4 s there
 RECIPROCAL_GUARD = 200_010_000  # cap on reciprocal_sum_bound terms, X(2X + 1) (X <= 10^4)
 _BATCH = 1 << 14  # multisets per numpy call; 2^16 took ~480 page faults a call at X = 10^5
@@ -38,34 +40,46 @@ _ORDERINGS = [math.factorial(h) // np.maximum(np.arange(math.factorial(h) + 1), 
 
 # -- slab-streamed counting ---------------------------------------------------
 
-def _multisets(X: int, h: int, n_lo: int, n_hi: int, square: bool):
+def _multisets(X: int, h: int, n_lo: int, n_hi: int, tail: np.ndarray, slab_span: int):
     """The sorted h-multisets x1 <= ... <= xh over [1, X], h <= 6, whose
-    linear sum lies in [n_lo, n_hi], a range that must meet [h, hX].  Returns
-    their linear, square (None unless `square`) and cube sums, and their
-    weights h!/prod(mult!), the number of ordered h-tuples each one stands for."""
-    # one coordinate placed per pass; every partial kept extends to at least
-    # one full multiset, so nothing is enumerated twice or in vain
-    v = np.arange(max(1, n_lo - (h - 1) * X), min(X, n_hi // h) + 1, dtype=np.int64)
-    lin = last = v
-    sq = v * v if square else None
-    cube = v * v * v
-    run = denom = np.ones_like(v)  # multiplicity of `last`; prod(mult!) so far
-    for k in range(1, h):
-        left = h - k - 1  # coordinates still to place after this one
+    linear sum lies in [n_lo, n_hi], a range that must meet [h, hX], as packed
+    int64 keys (linear sum - n_lo) * slab_span + sum tail[x] + weight, the
+    weight h!/prod(mult!) being the number of ordered h-tuples each stands for."""
+    # the (h-1)-prefixes, one coordinate placed per pass from the empty one;
+    # every partial kept extends to at least one full multiset, so nothing is
+    # enumerated twice or in vain
+    lin, key, run = np.zeros((3, 1), dtype=np.int64)  # key: sum of tail[x] so far
+    last = denom = np.ones(1, dtype=np.int64)  # run: multiplicity of `last`; denom: prod(mult!)
+    for left in range(h - 1, -1, -1):  # coordinates still to place after this one
         lo = np.maximum(last, n_lo - left * X - lin)
-        hi = np.minimum(X, (n_hi - lin) // (left + 1))
-        span = hi - lo + 1
+        span = np.minimum(X, (n_hi - lin) // (left + 1)) - lo + 1
+        starts = np.cumsum(span) - span
+        if left == 0:
+            break
         parent = np.repeat(np.arange(len(lo)), span)
-        # v runs lo..hi under each parent
-        v = np.arange(len(parent), dtype=np.int64) - np.repeat(np.cumsum(span) - span - lo, span)
+        v = np.arange(len(parent), dtype=np.int64) - (starts - lo)[parent]  # lo..hi per parent
         run = np.where(v == last[parent], run[parent] + 1, 1)
         denom = denom[parent] * run
         lin = lin[parent] + v
-        if square:
-            sq = sq[parent] + v * v
-        cube = cube[parent] + v * v * v
+        key = key[parent] + tail[v]
         last = v
-    return lin, sq, cube, _ORDERINGS[h][denom]
+    # the last coordinate v = lo + j adds j * slab_span + tail[v] to its
+    # prefix's key at v = lo, every term non-negative and at most the full
+    # key; only v = lo can repeat `last`, and then weighs h!/(denom (run + 1))
+    weight = _ORDERINGS[h][denom]
+    first = np.flatnonzero(lo == last)
+    fix = weight[first] - _ORDERINGS[h][denom[first] * (run[first] + 1)]
+    key += (lin + lo - n_lo) * slab_span + weight
+    del lin, run, last, denom, weight  # freed before the batch's largest arrays
+    parent = np.repeat(np.arange(len(lo)), span)
+    v = np.arange(len(parent), dtype=np.int64) - (starts - lo)[parent]
+    packed = tail[v]
+    packed += key[parent]
+    v -= lo[parent]
+    v *= slab_span
+    packed += v
+    packed[starts[first]] -= fix
+    return packed
 
 
 def _shared_key_count(X: int, h: int, square: bool) -> int:
@@ -75,7 +89,9 @@ def _shared_key_count(X: int, h: int, square: bool) -> int:
 
     Batches of consecutive slabs hold about 2^14 multisets, fewer where the
     packed int64 sort key (slab offset, square-sum, cube-sum, weight) would
-    overflow.  Refuses more than MULTISET_GUARD multisets, or one slab's
+    overflow.  `_multisets` places each last coordinate v as an offset into
+    its prefix's key, reading v's square and cube terms from tail, one table
+    per count.  Refuses more than MULTISET_GUARD multisets, or one slab's
     keys past the int64 width, saying why; at h = 1 too, which then
     returns X without enumerating (one key of weight 1 per slab).
     """
@@ -94,14 +110,12 @@ def _shared_key_count(X: int, h: int, square: bool) -> int:
         # one value x = n per slab, its own key of weight 1, so sum W^2 = X
         return X
     width = min(max(1, _BATCH * (h * (X - 1) + 1) // multisets), _INT64_MAX // slab_span)
+    v = np.arange(X + 1, dtype=np.int64)
+    tail = ((v * v * cube_span if square else 0) + v * v * v) << wbits  # value v's key terms
 
     def weights(n_lo: int, n_hi: int) -> np.ndarray:
         # ordered tuples per key of slabs n_lo..n_hi
-        lin, sq, cube, weight = _multisets(X, h, n_lo, n_hi, square)
-        key = lin - n_lo
-        if square:
-            key = key * sq_span + sq
-        packed = ((key * cube_span + cube) << wbits) | weight
+        packed = _multisets(X, h, n_lo, n_hi, tail, slab_span)
         packed.sort()
         key = packed >> wbits
         starts = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
@@ -172,24 +186,20 @@ def vinogradov_j(X: int, h: int) -> int:
 
 
 def brute_force_moment(X: int, s: int) -> int:
-    """Independent oracle: literal enumeration of all X^s tuples, checking
-    the linear and cubic equations directly.  Kept deliberately naive."""
+    """Independent oracle: literal enumeration of all X^s tuples, read as
+    (left half, right half) pairs.  The X^(s/2) ordered half-tuples' linear
+    and cube sums are tabulated, and each left half counts the right halves
+    whose two sums equal its own.  Shares nothing with the counter."""
     if s % 2 or s > 8:
         raise ValueError("s must be even and at most 8")
     if not 1 <= X <= 12:
         raise ValueError("X must be in [1, 12]")
-    if X ** s > 10 ** 7:  # about 0.7 us per tuple: 7 s at the cap
+    if X ** s > 10 ** 7:  # X^(s/2) half-tuples: 2,401 at X = 7, s = 8, about 4 ms
         raise ValueError(f"X^s = {X ** s:,} tuples exceeds the 10^7 oracle cap")
-    cubes = [0] + [x ** 3 for x in range(1, X + 1)]
-    h = s // 2
-    count = 0
-    for tup in itertools.product(range(1, X + 1), repeat=s):
-        if sum(tup[:h]) != sum(tup[h:]):
-            continue
-        if sum(cubes[x] for x in tup[:h]) != sum(cubes[x] for x in tup[h:]):
-            continue
-        count += 1
-    return count
+    halves = [(sum(t), sum(x ** 3 for x in t))
+              for t in itertools.product(range(1, X + 1), repeat=s // 2)]
+    right = Counter(halves)
+    return sum(right[sums] for sums in halves)
 
 
 # -- fourth-moment identity --------------------------------------------------

@@ -45,10 +45,28 @@ def _sum_cube(spectrum):
     return out
 
 
+def _packed_multisets(X, h, n_lo, n_hi, square):
+    """`_multisets` over slabs n_lo..n_hi under the counter's key layout,
+    decoded into linear, square (None unless `square`) and cube sums and
+    weights."""
+    wbits = math.factorial(h).bit_length()
+    sq_span, cube_span = h * X * X + 1, h * X ** 3 + 1
+    v = np.arange(X + 1, dtype=np.int64)
+    tail = ((v * v * cube_span if square else 0) + v ** 3) << wbits
+    slab_span = ((sq_span if square else 1) * cube_span) << wbits
+    packed = _multisets(X, h, n_lo, n_hi, tail, slab_span)
+    assert packed.min() >= 0, (X, h, n_lo, n_hi)
+    key, cube = np.divmod(packed >> wbits, cube_span)
+    sq = None
+    if square:
+        key, sq = np.divmod(key, sq_span)
+    return key + n_lo, sq, cube, packed & ((1 << wbits) - 1)
+
+
 def test_cubic_spectrum_small_cases():
     # the (sum, cube-sum) key spectrum, read off the weighted multisets
     def spectrum(X, h):
-        lin, _, cube, weight = _multisets(X, h, h, h * X, False)
+        lin, _, cube, weight = _packed_multisets(X, h, h, h * X, False)
         out = Counter()
         for n, m, w in zip(lin.tolist(), cube.tolist(), weight.tolist()):
             out[(n, m)] += w
@@ -63,9 +81,22 @@ def test_spectrum_mass_conservation():
     # the multiset weights count every ordered h-tuple once, over all slabs
     # together and slab by slab
     for X, h in ((1, 1), (7, 1), (13, 2), (9, 3), (50, 2), (8, 4), (6, 5), (5, 6)):
-        assert int(_multisets(X, h, h, h * X, True)[3].sum()) == X ** h, (X, h)
-        assert sum(int(_multisets(X, h, n, n, False)[3].sum())
+        assert int(_packed_multisets(X, h, h, h * X, True)[3].sum()) == X ** h, (X, h)
+        assert sum(int(_packed_multisets(X, h, n, n, False)[3].sum())
                    for n in range(h, h * X + 1)) == X ** h, (X, h)
+
+
+def test_repeated_last_value_weighs_right_at_every_batch_width(monkeypatch):
+    # a last coordinate equal to the one before it takes the weight
+    # h!/(denom (run + 1)); one slab per batch, then every slab in one batch
+    for batch in (1, 1 << 30):
+        monkeypatch.setattr(counting, "_BATCH", batch)
+        for h in (2, 3, 4):
+            for X in range(1, 8):
+                spectrum = _ordered_spectrum(X, h)
+                per_side = _sum_cube(spectrum)
+                assert moment_count(X, 2 * h) == _shared(per_side, per_side), (batch, X, h)
+                assert vinogradov_j(X, h) == _shared(spectrum, spectrum), (batch, X, h)
 
 
 def test_moment_count_examples():
@@ -110,6 +141,28 @@ def test_moment_matches_brute_force():
     for X in range(13, 31):
         triples = _sum_cube(_ordered_spectrum(X, 3))
         assert moment_count(X, 6) == _shared(triples, triples), X
+
+
+def _naive_brute_force(X, s):
+    """Tuple-loop oracle: every ordered s-tuple over [1, X], checking the
+    linear and cubic equations directly."""
+    cubes = [0] + [x ** 3 for x in range(1, X + 1)]
+    h = s // 2
+    count = 0
+    for tup in itertools.product(range(1, X + 1), repeat=s):
+        if sum(tup[:h]) != sum(tup[h:]):
+            continue
+        if sum(cubes[x] for x in tup[:h]) != sum(cubes[x] for x in tup[h:]):
+            continue
+        count += 1
+    return count
+
+
+def test_brute_force_matches_the_naive_tuple_loop():
+    for X in range(1, 6):
+        for s in (2, 4, 6):
+            assert brute_force_moment(X, s) == _naive_brute_force(X, s), (X, s)
+    assert brute_force_moment(3, 8) == _naive_brute_force(3, 8)
 
 
 def test_brute_force_examples_and_guards():
@@ -222,14 +275,24 @@ def test_packed_batch_keys_fit_in_int64(monkeypatch):
     inner = counting._multisets
     widest = []
 
-    def checked(X_, h_, n_lo, n_hi, square):
-        lin, sq, cube, weight = inner(X_, h_, n_lo, n_hi, square)
-        top = np.lexsort((weight, cube, sq, lin))[-1]  # largest packed key
-        packed = ((((int(lin[top]) - n_lo) * sq_span + int(sq[top])) * cube_span
-                   + int(cube[top])) << wbits) | int(weight[top])
-        assert packed <= np.iinfo(np.int64).max, (n_lo, n_hi)
+    def checked(X_, h_, n_lo, n_hi, tail, slab_span):
+        packed = inner(X_, h_, n_lo, n_hi, tail, slab_span)
+        # every key decodes to a pair x1 <= x2 of the batch, so none wrapped
+        key, cube = np.divmod(packed >> wbits, cube_span)
+        lin, sq = np.divmod(key, sq_span)
+        got = np.stack([lin + n_lo, sq, cube, packed & ((1 << wbits) - 1)])
+        n = np.arange(n_lo, n_hi + 1)
+        x1 = np.concatenate([np.arange(max(1, m - X), m // 2 + 1) for m in n.tolist()])
+        x2 = np.repeat(n, n // 2 - np.maximum(1, n - X) + 1) - x1
+        want = np.stack([x1 + x2, x1 * x1 + x2 * x2, x1 ** 3 + x2 ** 3, 2 - (x1 == x2)])
+        order = np.lexsort(got[::-1])
+        assert np.array_equal(got[:, order], want[:, np.lexsort(want[::-1])])
+        # the largest packed key, in exact integers
+        lin_, sq_, cube_, weight_ = (int(a) for a in got[:, order[-1]])
+        assert ((((lin_ - n_lo) * sq_span + sq_) * cube_span + cube_) << wbits) + weight_ \
+            <= np.iinfo(np.int64).max, (n_lo, n_hi)
         widest.append(n_hi - n_lo + 1)
-        return lin, sq, cube, weight
+        return packed
 
     monkeypatch.setattr(counting, "_multisets", checked)
     assert vinogradov_j(X, h) == 2 * X * X - X
