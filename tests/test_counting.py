@@ -45,22 +45,28 @@ def _sum_cube(spectrum):
     return out
 
 
-def _packed_multisets(X, h, n_lo, n_hi, square):
-    """`_multisets` over slabs n_lo..n_hi under the counter's key layout,
-    decoded into linear, square (None unless `square`) and cube sums and
+def _decoded(packed, X, h, n_lo, square):
+    """Packed multiset keys of slabs from n_lo on, under the counter's key
+    layout, back to linear, square (None unless `square`) and cube sums and
     weights."""
+    assert packed.min() >= 0, (X, h, n_lo)
     wbits = math.factorial(h).bit_length()
     sq_span, cube_span = h * X * X + 1, h * X ** 3 + 1
-    v = np.arange(X + 1, dtype=np.int64)
-    tail = ((v * v * cube_span if square else 0) + v ** 3) << wbits
-    slab_span = ((sq_span if square else 1) * cube_span) << wbits
-    packed = _multisets(X, h, n_lo, n_hi, tail, slab_span)
-    assert packed.min() >= 0, (X, h, n_lo, n_hi)
     key, cube = np.divmod(packed >> wbits, cube_span)
     sq = None
     if square:
         key, sq = np.divmod(key, sq_span)
     return key + n_lo, sq, cube, packed & ((1 << wbits) - 1)
+
+
+def _packed_multisets(X, h, n_lo, n_hi, square):
+    """`_multisets` over slabs n_lo..n_hi, decoded."""
+    wbits = math.factorial(h).bit_length()
+    sq_span, cube_span = h * X * X + 1, h * X ** 3 + 1
+    v = np.arange(X + 1, dtype=np.int64)
+    tail = ((v * v * cube_span if square else 0) + v ** 3) << wbits
+    slab_span = ((sq_span if square else 1) * cube_span) << wbits
+    return _decoded(_multisets(X, h, n_lo, n_hi, tail, slab_span), X, h, n_lo, square)
 
 
 def test_cubic_spectrum_small_cases():
@@ -278,9 +284,7 @@ def test_packed_batch_keys_fit_in_int64(monkeypatch):
     def checked(X_, h_, n_lo, n_hi, tail, slab_span):
         packed = inner(X_, h_, n_lo, n_hi, tail, slab_span)
         # every key decodes to a pair x1 <= x2 of the batch, so none wrapped
-        key, cube = np.divmod(packed >> wbits, cube_span)
-        lin, sq = np.divmod(key, sq_span)
-        got = np.stack([lin + n_lo, sq, cube, packed & ((1 << wbits) - 1)])
+        got = np.stack(_decoded(packed, X, h, n_lo, True))
         n = np.arange(n_lo, n_hi + 1)
         x1 = np.concatenate([np.arange(max(1, m - X), m // 2 + 1) for m in n.tolist()])
         x2 = np.repeat(n, n // 2 - np.maximum(1, n - X) + 1) - x1
