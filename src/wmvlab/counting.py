@@ -25,11 +25,11 @@ from typing import Tuple
 
 import numpy as np
 
-from .phase import (BLOCK_TERMS, FixedPhase, add_limbs, fold_half, fsum_carry,
+from .phase import (_SUM_SCALE, BLOCK_TERMS, FixedPhase, _exact_sums, add_limbs, fold_half,
                     phase_limbs, unit_terms)
 
 MULTISET_GUARD = 10 ** 8  # cap on sorted h-multisets per count (7 s at h = 3, 11-13 s at h = 6)
-IDENTITY_GUARD = 10 ** 8  # cap on u_identity_rhs terms, (2X^3 + X)/3: X <= 531, 3-4 s there
+IDENTITY_GUARD = 10 ** 8  # cap on u_identity_rhs terms, (2X^3 + X)/3: X <= 531, about 1.2 s there
 RECIPROCAL_GUARD = 200_010_000  # cap on reciprocal_sum_bound terms, X(2X + 1) (X <= 10^4)
 _BATCH = 1 << 14  # multisets per numpy call; 2^16 took ~480 page faults a call at X = 10^5
 _INT64_MAX = int(np.iinfo(np.int64).max)
@@ -225,8 +225,8 @@ def beta_fourth_moment(alpha: FixedPhase, X: int) -> float:
     Orthogonality in beta leaves the sum of e((x1^3+x2^3-x3^3-x4^3) alpha)
     over quadruples with x1+x2 = x3+x4; grouping by the shared pair sum n
     turns it into sum_n |c_n|^2 with c_n the cube-phase pair sum, which is
-    exactly real and O(X^2) work.  Each c_n and the outer sum are math.fsum
-    sums of unit-circle kernel terms.
+    exactly real and O(X^2) work.  Each c_n, over unit-circle kernel terms, and
+    the outer sum are exact integer-chunk sums, correctly rounded.
     """
     if not 1 <= X <= 3000:
         raise ValueError("X must be in [1, 3000]")
@@ -237,13 +237,12 @@ def beta_fourth_moment(alpha: FixedPhase, X: int) -> float:
     for group, offset in _runs(np.minimum(X, n - 1) - first + 1):
         x1 = first[group] + offset
         x2 = n[group] - x1
-        c, s = unit_terms(add_limbs((cube_hi[x1], cube_lo[x1]), (cube_hi[x2], cube_lo[x2])))
-        c, s = c.tolist(), s.tolist()
-        cuts = np.flatnonzero(offset == 0).tolist() + [len(c)]
-        for a, b in zip(cuts, cuts[1:]):
-            cre, cim = math.fsum(c[a:b]), math.fsum(s[a:b])
-            squares.append(cre * cre + cim * cim)
-    return math.fsum(squares)
+        cs = unit_terms(add_limbs((cube_hi[x1], cube_lo[x1]), (cube_hi[x2], cube_lo[x2])))
+        cuts = np.flatnonzero(offset == 0)  # one segment per n, in the cos row then the sin row
+        sums = _exact_sums(cs.ravel(), np.concatenate((cuts, cuts + len(offset))))
+        c = (sums / _SUM_SCALE).astype(np.float64).reshape(2, -1)  # re and im of c_n
+        squares.append(c[0] * c[0] + c[1] * c[1])
+    return _exact_sums(np.concatenate(squares))[0] / _SUM_SCALE
 
 
 def u_identity_rhs(alpha: FixedPhase, X: int) -> float:
@@ -257,9 +256,11 @@ def u_identity_rhs(alpha: FixedPhase, X: int) -> float:
     phase, which the kernel folds to the same cosine), so one pair 0 <= u1 <=
     u2 per orbit is enumerated and weighted by the orbit size: 1 for (0, 0),
     4 for (0, u2) and (u, u), 8 otherwise.  Scaling by 4 or 8 is exact, so the
-    math.fsum total has the bits of the unfolded sum.  The four constraints
-    are asserted array-wise on every enumerated triple, and the weighted
-    count against (2X^3 + X)/3.  Refuses more than IDENTITY_GUARD terms.
+    exact integer-chunk sum, correctly rounded, has the bits of the unfolded
+    sum; by the same symmetry the kernel takes +3 u1 u2 u3, with no negation.
+    The four constraints are asserted array-wise on every enumerated triple,
+    and the weighted count against (2X^3 + X)/3.  Refuses more than
+    IDENTITY_GUARD terms.
     """
     if not 1 <= X <= 3000:
         raise ValueError("X must be in [1, 3000]")
@@ -275,16 +276,16 @@ def u_identity_rhs(alpha: FixedPhase, X: int) -> float:
     a = u1 + u2
     w = (1 + (u1 != u2)) << (2 - (u1 == 0) - (u2 == 0))  # x2 per nonzero u, x2 if u1 != u2
     assert int(np.dot(w, X - a)) == terms
-    total = []
+    total = 0
     for group, offset in _runs(X - a):
         v1, v2 = u1[group], u2[group]
         v3 = 2 + a[group] + 2 * offset
         for q in (v3 + v2 - v1, v3 + v1 - v2, v3 - v1 - v2, v3 + v1 + v2):
             assert np.all(q % 2 == 0) and np.all((1 <= q) & (q <= two_x))
         # |3 u1 u2 u3| <= 1.5 X (X-1)^2 < 2^32 for X <= 531, as phase_limbs needs
-        c, _ = unit_terms(phase_limbs(alpha.frac, -3 * v1 * v2 * v3))
-        total = fsum_carry(total, w[group] * c)
-    return math.fsum(total)
+        c, _ = unit_terms(phase_limbs(alpha.frac, 3 * v1 * v2 * v3))
+        total = _exact_sums(w[group] * c, totals=total)
+    return total[0] / _SUM_SCALE
 
 
 def reciprocal_sum_bound(alpha: FixedPhase, X: int) -> float:
@@ -294,8 +295,8 @@ def reciprocal_sum_bound(alpha: FixedPhase, X: int) -> float:
 
     Each phase 6 u1 u2 alpha mod 2^128 comes from the limb kernel and is
     folded to its distance by `fold_half`.  The pairs u1 < u2 stand for
-    their mirror images with weight 2, and the terms are summed with
-    math.fsum.  Refuses more than RECIPROCAL_GUARD terms."""
+    their mirror images with weight 2, and the terms are added exactly in
+    integer chunks, correctly rounded.  Refuses more than RECIPROCAL_GUARD terms."""
     if X < 1:
         raise ValueError("X must be positive")
     terms = X * (2 * X + 1)
@@ -304,7 +305,7 @@ def reciprocal_sum_bound(alpha: FixedPhase, X: int) -> float:
                          f"{RECIPROCAL_GUARD:,} cap (X <= 10^4)")
     xf = float(X)
     u = np.arange(1, 2 * X + 1, dtype=np.int64)
-    total = []
+    total = 0
     for group, offset in _runs(2 * X + 1 - u):  # row u1 holds u2 = u1..2X
         u1 = u[group]
         # 6 u1 u2 <= 24 X^2 < 2^32 for X <= 10^4, as phase_limbs needs
@@ -312,5 +313,5 @@ def reciprocal_sum_bound(alpha: FixedPhase, X: int) -> float:
         dist = hi.astype(np.float64) * 2.0 ** -64 + lo.astype(np.float64) * 2.0 ** -128
         with np.errstate(divide="ignore"):  # distance 0: min(X, inf) = X
             term = np.minimum(xf, 1.0 / dist)
-        total = fsum_carry(total, np.where(offset == 0, term, 2.0 * term))
-    return math.fsum(total)
+        total = _exact_sums(np.where(offset == 0, term, 2.0 * term), totals=total)
+    return total[0] / _SUM_SCALE

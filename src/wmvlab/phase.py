@@ -5,12 +5,12 @@ is computed by exact integer multiplication modulo 2^128 instead of lossy
 binary64 reduction (x^3*alpha for x near 2^21 would already lose ~63 bits
 in a double).  The sums run through one numpy kernel: `phase_limbs` forms
 each term's phase exactly as two uint64 limbs from 32-bit limb products with
-carries, and `unit_terms` folds it into the first quadrant with 128-bit
-borrows and exact quarter points before taking cos and sin.  A phase and
-its negative fold to the same bits, which makes complex conjugation an
-exact bit-level symmetry of eval_g/eval_f.  Terms are added with math.fsum,
-so every sum is correctly rounded and independent of term order; blocks of
-at most BLOCK_TERMS terms bound the memory without changing any sum.
+carries, and `unit_terms` folds it into the first quadrant with one 128-bit
+borrow and exact quarter points before taking cos and sin.  A phase and its
+negative fold to the same bits, which makes complex conjugation an exact
+bit-level symmetry of eval_g/eval_f.  Terms are summed exactly in integer
+chunks (`_exact_sums`), so every sum is correctly rounded, as by math.fsum,
+and independent of term order; blocks of BLOCK_TERMS bound the memory.
 eval_g and eval_f share one working range, eval_g counting as k = 3:
 1 <= X <= 10^8 terms, which keeps x below 2^32 as the limb multiply needs,
 and X^k < 2^80.  The scalar `unit` is the reference the kernel is tested
@@ -43,6 +43,8 @@ BLOCK_TERMS = 1 << 16  # terms per kernel call
 _M32 = 0xFFFFFFFF
 _HALF64 = np.uint64(1 << 63)  # the high limb of 1/2
 _QUARTER64 = np.uint64(1 << 62)  # the high limb of 1/4
+_LOW62 = np.uint64((1 << 62) - 1)  # the high limb of x mod 1/4
+_SUM_SCALE = 1 << 1105  # the unit of exact sums, 2^-1105: 31 bits below 2^-1074
 
 RealLike = Union[int, float, str, Fraction]
 
@@ -140,9 +142,10 @@ def phase_limbs(frac: int, m: np.ndarray, k: int = 1) -> Tuple[np.ndarray, np.nd
     the four 32-bit limbs by |m|^e with carries (a product plus a carry stays
     below 2^64), e as large as keeps max |m|^e below 2^32: k = 6 at
     |m| < 2^16 takes three steps, k = 3 at |m| <= 1625 one.  Odd powers of
-    negative m are negated mod 2^128.
+    negative m are negated mod 2^128; without a negative m that is skipped.
     """
-    mag = np.abs(m).astype(np.uint64)
+    signed = int(m.min(initial=0)) < 0
+    mag = (np.abs(m) if signed else m).astype(np.uint64)
     top = int(mag.max(initial=0))
     e = 1
     while e < k and top ** (e + 1) < 1 << 32:
@@ -152,7 +155,7 @@ def phase_limbs(frac: int, m: np.ndarray, k: int = 1) -> Tuple[np.ndarray, np.nd
         limbs, _carry = mul_limbs(limbs, mag ** min(e, k - done))
     l0, l1, l2, l3 = limbs
     hi, lo = (l3 << 32) | l2, (l1 << 32) | l0
-    if k % 2:
+    if signed and k % 2:
         neg = m < 0
         nh, nl = _negate(hi, lo)
         hi, lo = np.where(neg, nh, hi), np.where(neg, nl, lo)
@@ -199,54 +202,60 @@ def fold_half(phase: Tuple[np.ndarray, np.ndarray]
     return (np.where(past_half, nh, hi), np.where(past_half, nl, lo)), past_half
 
 
-def unit_terms(phase: Tuple[np.ndarray, np.ndarray]) -> Tuple[np.ndarray, np.ndarray]:
-    """(cos, sin) of 2*pi*x/2^128 for phases x given as (high, low) uint64 limbs.
-
-    The array form of `unit`, with the same fold: past 1/2 the phase is
-    negated and past 1/4 reflected to 1/2 - x, both with 128-bit borrows,
-    and the quarter points come out exact.  A phase and its negative fold
-    to the same bits, so their cosines agree and their sines are negatives,
-    bit for bit.  The folded phase reaches the angle through two binary64
-    limb conversions, so a value can differ from `unit`'s in the last bit.
-    """
-    (hi, lo), past_half = fold_half(phase)
-    past_quarter = (hi > _QUARTER64) | ((hi == _QUARTER64) & (lo != 0))
-    nh, nl = _negate(hi, lo)
-    hi, lo = np.where(past_quarter, nh + _HALF64, hi), np.where(past_quarter, nl, lo)
+def unit_terms(phase: Tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """cos and sin of 2*pi*x/2^128, the two rows of one array, for phases x
+    given as (high, low) uint64 limbs.  The array form of `unit`: quadrant
+    q = floor(4x) folds r = x mod 2^126 to r for even q and to 2^126 - r for
+    odd q, the bits `unit` folds to.  So quarter points are exact, and a phase
+    and its negative have equal cosines and negated sines, bit for bit.  The
+    angle comes from two binary64 limb conversions, so a value can differ
+    from `unit`'s in the last bit."""
+    hi, lo = phase
+    rh, odd = hi & _LOW62, (hi & _QUARTER64) != 0
+    fh, fl = np.where(odd, _QUARTER64 - rh - (lo != 0), rh), np.where(odd, -lo, lo)
     # the folded phase lies in [0, 2^126], an angle in [0, pi/2]
-    t = (hi.astype(np.float64) + lo.astype(np.float64) * 2.0 ** -64) * (math.tau * 2.0 ** -64)
-    c, s = np.cos(t), np.sin(t)
-    quarter = (hi == _QUARTER64) & (lo == 0)
-    c[quarter], s[quarter] = 0.0, 1.0
-    return np.where(past_quarter, -c, c), np.where(past_half, -s, s)
+    t = (fh.astype(np.float64) + fl.astype(np.float64) * 2.0 ** -64) * (math.tau * 2.0 ** -64)
+    cs = np.empty((2,) + t.shape)
+    np.cos(t, out=cs[0])
+    np.sin(t, out=cs[1])
+    cs[:, fh == _QUARTER64] = [[0.0], [1.0]]  # the fold 2^126 is the one with this high limb
+    bits = cs.view(np.uint64)  # cos < 0 for q = 1, 2 (bits 63, 62 differ), sin for q = 2, 3
+    bits[0] ^= (hi ^ (hi << 1)) & _HALF64
+    bits[1] ^= hi & _HALF64
+    cs += 0.0  # -0.0 (cos at 1/4, sin at 1/2) becomes +0.0, as `unit` has it
+    return cs
 
 
-def fsum_carry(terms: List[float], values: np.ndarray) -> List[float]:
-    """A short float list with the exact sum of `terms` (which it consumes),
-    followed by `values`.
-
-    Feeding blocks through this keeps math.fsum of the result equal to
-    math.fsum over every value fed so far: the carried floats are a
-    non-overlapping expansion of the exact running total, each the
-    correctly rounded remainder of the ones before it.
-    """
-    carried = []
-    rest = math.fsum(terms)
-    while rest:
-        carried.append(rest)
-        terms.append(-rest)
-        rest = math.fsum(terms)
-    return carried + values.tolist()
+def _exact_sums(values: np.ndarray, starts=(0,), totals=0) -> np.ndarray:
+    """totals (default 0) plus the exact sum of each segment of the float
+    block `values` (segment i from starts[i], as np.add.reduceat cuts it), as
+    Python ints in units of 2^-1105 in an object array: total / _SUM_SCALE is
+    the correctly rounded sum, as by math.fsum.  With 2^e > max |value|, the
+    block is scaled by 2^(31-e) and peeled into 31-bit digits f = trunc(y),
+    y = (y - f) * 2^31, until nothing is left.  Each step is exact (floor
+    would round y - f up to 1 for tiny negative y), and a digit sum over a
+    segment of at most 2^16 terms stays below 2^47, so numpy adds it exactly.
+    Exact for blocks of multiples of 2^(e-1105)."""
+    e = math.frexp(float(np.abs(values).max(initial=0.0)))[1]
+    y = np.ldexp(values, 31 - e)
+    sums = np.zeros(len(starts), dtype=object)  # the digit sums so far, by Horner's rule
+    while True:
+        f = np.trunc(y)
+        sums = (sums << 31) + np.add.reduceat(f, starts).astype(np.int64).astype(object)
+        y -= f
+        if not y.any():  # the last digit's unit, 2^(e-31), is 2^(1074+e) units of 2^-1105
+            return (sums << (1074 + e)) + totals
+        y *= 2.0 ** 31
+        e -= 31
 
 
 def _unit_sum(phases: Iterable[Tuple[np.ndarray, np.ndarray]]) -> complex:
-    """math.fsum of the kernel's cos and sin over blocks of limb phases."""
-    re: List[float] = []
-    im: List[float] = []
+    """The kernel's cos and sin over blocks of limb phases, summed exactly."""
+    totals = np.zeros(2, dtype=object)
     for phase in phases:
-        c, s = unit_terms(phase)
-        re, im = fsum_carry(re, c), fsum_carry(im, s)
-    return complex(math.fsum(re), math.fsum(im))
+        cs = unit_terms(phase)
+        totals = _exact_sums(cs.ravel(), (0, cs.shape[1]), totals)
+    return complex(totals[0] / _SUM_SCALE, totals[1] / _SUM_SCALE)
 
 
 def _blocks(lo: int, hi: int) -> Iterable[np.ndarray]:
@@ -262,7 +271,7 @@ def _check_range(k: int, X: int) -> None:
     a*x plus its carry stays below 2^64."""
     if X < 1:
         raise ValueError("X must be positive")
-    if X > 10 ** 8:  # about 0.4 us (eval_f) to 0.55 us (eval_g) a term: 40-55 s
+    if X > 10 ** 8:  # about 0.06 us (eval_f, k = 1) to 0.16 us (eval_g) a term: 6-16 s
         raise ValueError(f"X = {X:,} terms exceeds the 10^8 term cap")
     if X ** k >= _N_CAP:
         raise ValueError("x^k overflows the multiplier cap (X^k >= 2^80)")
@@ -274,8 +283,8 @@ def eval_g(alpha: FixedPhase, beta: FixedPhase, X: int,
 
     X lies in the working range that eval_f has at k = 3: at most 10^8
     terms and X^3 < 2^80.  Phases are exact mod 2^128, each term comes from
-    the unit-circle kernel, and the real and imaginary parts are math.fsum
-    sums: correctly rounded and independent of term order.
+    the unit-circle kernel, and the real and imaginary parts are exact
+    integer-chunk sums: correctly rounded and independent of term order.
     """
     _check_range(3, X)
     lo, hi = (1, X) if span is None else span
@@ -286,8 +295,8 @@ def eval_g(alpha: FixedPhase, beta: FixedPhase, X: int,
 
 
 def eval_f(alpha: FixedPhase, k: int, X: int) -> complex:
-    """Sum of e(alpha*x^k) for 1 <= x <= X, by the same kernel, fsum
-    contract and working range as eval_g: at most 10^8 terms and
+    """Sum of e(alpha*x^k) for 1 <= x <= X, by the same kernel, exact sum
+    and working range as eval_g: at most 10^8 terms and
     X^k < 2^80, refused beyond that before any term is summed.
     """
     if k < 1:

@@ -21,7 +21,7 @@ from wmvlab.counting import (
     vinogradov_count,
     vinogradov_j,
 )
-from wmvlab.phase import SCALE, FixedPhase, unit_terms
+from wmvlab.phase import SCALE, FixedPhase, fold_half, phase_limbs, unit_terms
 from wmvlab.torusgrid import moment_estimate
 
 
@@ -413,6 +413,16 @@ def _kernel_fsum(fracs):
     return math.fsum(c), math.fsum(s)
 
 
+def _beta_literal(a, X):
+    """math.fsum of |c_n|^2, each c_n a math.fsum over its pairs x1 + x2 = n."""
+    squares = []
+    for n in range(2, 2 * X + 1):
+        re, im = _kernel_fsum([((x1 ** 3 + (n - x1) ** 3) * a.frac) % SCALE
+                               for x1 in range(max(1, n - X), min(X, n - 1) + 1)])
+        squares.append(re * re + im * im)
+    return math.fsum(squares)
+
+
 def _u_multipliers(X):
     """-3 u1 u2 u3 over the literal unfolded enumeration of the u-triples:
     every triple in (-X, 2X]^3 whose four forms are even and in [1, 2X]."""
@@ -451,16 +461,16 @@ def test_identity_sums_match_literal_loops_across_blocks(monkeypatch):
     fracs = [(m * a.frac) % SCALE for m in _u_multipliers(X)]
     monkeypatch.setattr(counting, "BLOCK_TERMS", 3000)
     blocks = _kernel_blocks(monkeypatch)
-    assert u_identity_rhs(a, X) == _kernel_fsum(fracs)[0]
+    assert u_identity_rhs(a, X).hex() == _kernel_fsum(fracs)[0].hex()
     assert len(blocks) >= 3 and max(blocks) <= 3000
     monkeypatch.undo()
     X = 300  # 90,000 pairs
-    squares = []
-    for n in range(2, 2 * X + 1):
-        re, im = _kernel_fsum([((x1 ** 3 + (n - x1) ** 3) * a.frac) % SCALE
-                               for x1 in range(max(1, n - X), min(X, n - 1) + 1)])
-        squares.append(re * re + im * im)
-    assert beta_fourth_moment(a, X) == math.fsum(squares)
+    assert beta_fourth_moment(a, X).hex() == _beta_literal(a, X).hex()
+    # a/q with q | 4 put pair sums on the quarter points and exact zeros
+    for b in (0, 1, 2, 3):
+        alpha = FixedPhase.from_rational(b, 4)
+        for X in (1, 2, 7, 60):
+            assert beta_fourth_moment(alpha, X).hex() == _beta_literal(alpha, X).hex()
 
 
 def test_u_identity_fold_is_bit_identical_to_the_unfolded_sum():
@@ -475,7 +485,7 @@ def test_u_identity_fold_is_bit_identical_to_the_unfolded_sum():
         multipliers = _u_multipliers(X)
         for a in alphas:
             want = _kernel_fsum([(m * a.frac) % SCALE for m in multipliers])[0]
-            assert u_identity_rhs(a, X) == want, (X, a)
+            assert u_identity_rhs(a, X).hex() == want.hex(), (X, a)
 
 
 def test_u_identity_sums_one_term_per_orbit(monkeypatch):
@@ -504,15 +514,29 @@ def _reciprocal_sum_loop(alpha, X):
     return math.fsum(terms)
 
 
+def _reciprocal_kernel_fsum(alpha, X):
+    """math.fsum over every ordered pair of the kernel's terms
+    min(X, 1/||6 u1 u2 alpha||), the distance folded by `fold_half`."""
+    u = np.arange(1, 2 * X + 1, dtype=np.int64)
+    (hi, lo), _ = fold_half(phase_limbs(alpha.frac, 6 * np.outer(u, u).ravel()))
+    dist = hi.astype(np.float64) * 2.0 ** -64 + lo.astype(np.float64) * 2.0 ** -128
+    with np.errstate(divide="ignore"):
+        return math.fsum(np.minimum(float(X), 1.0 / dist))
+
+
 def test_reciprocal_sum_matches_the_scalar_loop():
     rng = random.Random(61)
     # rational alphas put some or all of the distances at exactly 0
     rationals = [FixedPhase(0), FixedPhase.from_rational(1, 2), FixedPhase.from_rational(1, 3),
-                 FixedPhase.from_rational(5, 12), FixedPhase.from_rational(3, 7)]
+                 FixedPhase.from_rational(5, 12), FixedPhase.from_rational(3, 7),
+                 FixedPhase.from_rational(1, 4), FixedPhase.from_rational(3, 4)]
     for X in (1, 2, 3, 7, 20, 40):
         for alpha in rationals + [FixedPhase(rng.getrandbits(128)) for _ in range(3)]:
             want = _reciprocal_sum_loop(alpha, X)
-            assert reciprocal_sum_bound(alpha, X) == pytest.approx(want, rel=1e-12, abs=0)
+            got = reciprocal_sum_bound(alpha, X)
+            assert got == pytest.approx(want, rel=1e-12, abs=0)
+            # and bit for bit the math.fsum of the same kernel terms
+            assert got.hex() == _reciprocal_kernel_fsum(alpha, X).hex()
 
 
 def test_fourth_moment_majorized_by_reciprocal_sum():

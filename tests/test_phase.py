@@ -10,13 +10,15 @@ import pytest
 
 from wmvlab import counting, phase
 from wmvlab.phase import (
+    _SUM_SCALE,
     BLOCK_TERMS,
     SCALE,
     FixedPhase,
+    _exact_sums,
     add_limbs,
     eval_f,
     eval_g,
-    fsum_carry,
+    fold_half,
     phase_limbs,
     unit,
     unit_terms,
@@ -38,6 +40,24 @@ def to_limbs(fracs):
 
 def from_limbs(hi, lo):
     return [(int(h) << 64) | int(l) for h, l in zip(hi, lo)]
+
+
+def two_pass_unit_terms(phase):
+    """The kernel's earlier fold, kept as the reference for its bits: negate
+    past 1/2, then reflect past 1/4 to 1/2 - x, both with 128-bit borrows."""
+    def negate(hi, lo):
+        return ~hi + (lo == 0), ~lo + 1
+
+    half64, quarter64 = np.uint64(1 << 63), np.uint64(1 << 62)
+    (hi, lo), past_half = fold_half(phase)
+    past_quarter = (hi > quarter64) | ((hi == quarter64) & (lo != 0))
+    nh, nl = negate(hi, lo)
+    hi, lo = np.where(past_quarter, nh + half64, hi), np.where(past_quarter, nl, lo)
+    t = (hi.astype(np.float64) + lo.astype(np.float64) * 2.0 ** -64) * (math.tau * 2.0 ** -64)
+    c, s = np.cos(t), np.sin(t)
+    quarter = (hi == quarter64) & (lo == 0)
+    c[quarter], s[quarter] = 0.0, 1.0
+    return np.where(past_quarter, -c, c), np.where(past_half, -s, s)
 
 
 def test_from_rational_small_cases():
@@ -137,6 +157,10 @@ def test_unit_terms_against_scalar_unit():
     fracs += [((q >> 64) + d) % (1 << 64) << 64 for q in quarters for d in (-1, 0, 1)]
     fracs += [rng.getrandbits(64) << 64 for _ in range(200)]
     c, s = unit_terms(to_limbs(fracs))
+    # the one-pass quadrant fold has the two-pass fold's bits, zero signs included
+    for got, ref in zip((c, s), two_pass_unit_terms(to_limbs(fracs))):
+        assert np.array_equal(got, ref)
+        assert np.array_equal(np.signbit(got), np.signbit(ref))
     want = np.array([unit(f) for f in fracs])
     assert np.max(np.abs(c - want[:, 0])) <= 2.3e-16
     assert np.max(np.abs(s - want[:, 1])) <= 2.3e-16
@@ -183,17 +207,31 @@ def test_phase_limbs_are_exact():
         assert got == [(x + y) % SCALE for x, y in zip(p, q)]
 
 
-def test_fsum_carry_matches_one_fsum():
-    """Blocks fed through fsum_carry give math.fsum over all of them."""
+def test_exact_sums_match_one_fsum():
+    """Blocks fed through _exact_sums give math.fsum over all of them, bit
+    for bit, and so does every segment of a block."""
     rng = random.Random(71)
     values = [rng.choice([1e16, -1e16, 1.0, 1e-16, -3e-17]) * rng.random()
               for _ in range(5000)] + [1e100, 1.0, -1e100, 2.0 ** -60]
     rng.shuffle(values)
     for size in (1, 7, 256, 5000):
-        terms = []
+        total = 0
         for i in range(0, len(values), size):
-            terms = fsum_carry(terms, np.array(values[i:i + size]))
-        assert math.fsum(terms) == math.fsum(values)
+            total = _exact_sums(np.array(values[i:i + size]), totals=total)
+        assert (total[0] / _SUM_SCALE).hex() == math.fsum(values).hex()
+    # a full block, whose digit sums come nearest to 2^47 where all its
+    # values sit just below a power of two, cut into segments
+    block = [rng.choice([1.0, -1.0, 1e-16, 2.0 ** -60]) * rng.random() for _ in range(BLOCK_TERMS)]
+    for block in (block, [1.0 - 2.0 ** -53] * BLOCK_TERMS):
+        starts = [0] + sorted(rng.sample(range(1, BLOCK_TERMS), 40))
+        got = _exact_sums(np.array(block), starts)
+        for t, a, b in zip(got, starts, starts[1:] + [BLOCK_TERMS]):
+            assert (t / _SUM_SCALE).hex() == math.fsum(block[a:b]).hex()
+    # y - floor(y) rounds to 1.0 for the tiny negative value; trunc is exact
+    crafted = [1.0 + 2.0 ** -52, 2.0 ** -53, -2.0 ** -90]
+    assert math.fsum(crafted) == 1.0 + 2.0 ** -52
+    assert _exact_sums(np.array(crafted))[0] / _SUM_SCALE == 1.0 + 2.0 ** -52
+    assert _exact_sums(np.zeros(3)).tolist() == [0]
 
 
 def test_blocks_do_not_change_the_sum():
