@@ -6,14 +6,14 @@ FFT torus quadrature for the rest, major/minor arc dissection, and the
 bound calculus that compares Weyl-type estimates regime by regime.
 """
 
-from .arcs import (ArcLabel, RationalApprox, classify, convergents,
-                   dirichlet_approx, major_measure, psi)
+from .arcs import (ArcLabel, RationalApprox, classify, dirichlet_approx,
+                   major_measure)
 from .bounds import (BoundComparison, BoundProfile, HCount, bound_values,
                      exponent_curves, k_bound_check, k_counts, kappa,
-                     phi_quantity, theta_quantity)
+                     theta_quantity)
 from .counting import (beta_fourth_moment, brute_force_moment, moment_count,
-                       ninth_moment_bracket, reciprocal_sum_bound,
-                       u_identity_rhs, vinogradov_count, vinogradov_j)
+                       ninth_moment_bracket, u_identity_rhs, vinogradov_count,
+                       vinogradov_j)
 from .fitting import FitResult, fit_powerlaw, fit_segre
 from .phase import FixedPhase, eval_f, eval_g, unit
 from .runcache import (CacheCorruption, CacheVersionMismatch, ResultCache,

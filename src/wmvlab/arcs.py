@@ -18,10 +18,9 @@ the rational threshold, with no floating-point rounding in the decision.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, List, Optional, Tuple, Union
+from typing import Iterator, Optional, Tuple, Union
 
 import numpy as np
 
@@ -80,18 +79,6 @@ def _err_num(frac: int, a: int, q: int) -> int:
     return abs(q * frac - (a << 128))
 
 
-def convergents(alpha: FixedPhase, qmax: int) -> List[RationalApprox]:
-    """All continued-fraction convergents of alpha with q <= qmax.
-
-    qmax must satisfy 1 <= qmax < 2^63.  alpha = 0 yields just 0/1.
-    """
-    if not 1 <= qmax < (1 << 63):
-        raise ValueError("qmax must satisfy 1 <= qmax < 2^63")
-    frac = alpha.frac
-    return [RationalApprox(a, q, _err_num(frac, a, q) / SCALE)
-            for a, q in _convergent_pairs(frac, qmax)]
-
-
 def dirichlet_approx(alpha: FixedPhase, N: int) -> RationalApprox:
     """The convergent a/q with the largest q <= N.
 
@@ -128,43 +115,13 @@ def classify(alpha: FixedPhase, Q: RealLike, X: int) -> ArcLabel:
     return ArcLabel(False)
 
 
-def psi(alpha: FixedPhase, X: int) -> float:
-    """Arc weight 1/(q + X^3*|q*alpha - a|) at the arc of alpha in the
-    dissection with cutoff X^1.5 / 2, and 0 off the arcs.
-
-    The cutoff is irrational for most X, so the two membership tests are
-    done on squares: q <= X^1.5/2 iff 4q^2 <= X^3, and
-    |q*alpha - a| <= (X^1.5/2)/X^3 iff 4*err^2*X^3 <= 2^256.
-    """
-    if X < 1:
-        raise ValueError("X must be positive")
-    x3 = X ** 3
-    qmax = math.isqrt(x3 // 4)
-    if qmax < 1:
-        return 0.0
-    frac = alpha.frac
-    for a, q in _convergent_pairs(frac, qmax):
-        d = _err_num(frac, a, q)
-        if 4 * d * d * x3 <= SCALE * SCALE:
-            return SCALE / (q * SCALE + x3 * d)
-    return 0.0
-
-
-def _totients(n: int) -> List[int]:
-    phi = list(range(n + 1))
-    for p in range(2, n + 1):
-        if phi[p] == p:  # p prime
-            for m in range(p, n + 1, p):
-                phi[m] -= phi[m] // p
-    return phi
-
-
 def major_measure(Q: RealLike, X: int) -> float:
     """Lebesgue measure of the union of major arcs at cutoff Q, scale X.
 
     Requires 2Q^2 <= X^3, under which the arcs are pairwise disjoint and the
-    measure is exactly sum over q <= Q of phi(q) * 2Q/(q X^3); the two
-    half-arcs at 0/1 and 1/1 glue into the single q = 1 arc on the torus.
+    measure is exactly sum over q <= Q of phi(q) * 2Q/(q X^3), with phi(q)
+    the Ramanujan sum c_q(0); the two half-arcs at 0/1 and 1/1 glue into the
+    single q = 1 arc on the torus.
     """
     if X < 1:
         raise ValueError("X must be positive")
@@ -173,9 +130,7 @@ def major_measure(Q: RealLike, X: int) -> float:
         raise ValueError("Q must be >= 1")
     if 2 * T * T > X ** 3:
         raise ValueError("need 2Q^2 <= X^3 for disjoint arcs")
-    qmax = int(T)
-    phi = _totients(qmax)
-    weight = sum(Fraction(phi[q], q) for q in range(1, qmax + 1))
+    weight = sum(Fraction(int(_ramanujan(q)[0]), q) for q in range(1, int(T) + 1))
     return float(2 * T * weight / X ** 3)
 
 

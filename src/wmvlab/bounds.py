@@ -73,27 +73,14 @@ class HCount:
 
 
 def theta_quantity(q: int, X: int, k: int) -> float:
-    """1/q + 1/X^3 + q/X^k, the variant that depends on q alone: phi at 0."""
-    return phi_quantity(q, 0.0, X, k)
-
-
-def phi_quantity(q: int, delta: float, X: int, k: int) -> float:
-    """With L = q + X^k*delta: 1/L + 1/X^3 + L/X^k.  Equals theta_quantity
-    when delta = 0."""
-    if delta < 0:
-        raise ValueError("delta must be >= 0")
-    _check_qxk(q, X, k)
-    L = q + float(X) ** k * delta
-    return 1.0 / L + 1.0 / X ** 3 + L / float(X) ** k
-
-
-def _check_qxk(q: int, X: int, k: int) -> None:
+    """Theta = 1/q + 1/X^3 + q/X^k, the variant that depends on q alone."""
     if q < 1:
         raise ValueError("q must be >= 1")
     if X < 1:
         raise ValueError("X must be positive")
     if k < 6:
         raise ValueError("k must be >= 6 (the bounds are stated for k >= 6)")
+    return 1.0 / q + 1.0 / X ** 3 + q / float(X) ** k
 
 
 def bound_values(alpha: FixedPhase, X: int, k: int, eps: float = 0.05) -> BoundComparison:

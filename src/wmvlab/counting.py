@@ -5,7 +5,7 @@ orthogonality the s-th moment counts s-tuples whose linear sums and cube
 sums balance.  One slab-streamed counter gives these counts and those of
 the three-equation system keyed by (sum, square-sum, cube-sum), at up to six
 variables per side.  The module also evaluates the two-sided fourth-moment
-identity together with its reciprocal-distance majorant.
+identity.
 
 Tuples with different linear sums n never balance, so the counter streams
 over n: it enumerates the sorted h-multisets of a batch of consecutive
@@ -25,12 +25,11 @@ from typing import Tuple
 
 import numpy as np
 
-from .phase import (_SUM_SCALE, BLOCK_TERMS, FixedPhase, _exact_sums, add_limbs, fold_half,
-                    phase_limbs, unit_terms)
+from .phase import (_SUM_SCALE, BLOCK_TERMS, FixedPhase, _exact_sums, add_limbs, phase_limbs,
+                    unit_terms)
 
 MULTISET_GUARD = 10 ** 8  # cap on sorted h-multisets per count (7 s at h = 3, 11-13 s at h = 6)
 IDENTITY_GUARD = 10 ** 8  # cap on u_identity_rhs terms, (2X^3 + X)/3: X <= 531, about 1.2 s there
-RECIPROCAL_GUARD = 200_010_000  # cap on reciprocal_sum_bound terms, X(2X + 1) (X <= 10^4)
 _BATCH = 1 << 14  # multisets per numpy call; 2^16 took ~480 page faults a call at X = 10^5
 _INT64_MAX = int(np.iinfo(np.int64).max)
 # h!/d at index d <= h!, for h <= 6: multiset weights by a gather, not a division
@@ -172,7 +171,7 @@ def vinogradov_count(X: int, s: int) -> int:
         raise ValueError("s must be in {2, 3, 4, 5, 6}")
     if X < 1:
         raise ValueError("X must be positive")
-    return 0 if s % 2 else _shared_key_count(X, s // 2, square=True)
+    return 0 if s % 2 else vinogradov_j(X, s // 2)
 
 
 def vinogradov_j(X: int, h: int) -> int:
@@ -252,12 +251,12 @@ def u_identity_rhs(alpha: FixedPhase, X: int) -> float:
     even and in [1, 2X]: the pairs with |u1| + |u2| <= X - 1, each with u3 =
     2 + |u1| + |u2|, ..., 2X - |u1| - |u2| in steps of 2, (2X^3 + X)/3 terms.
     Sign changes of u1, u2 and their swap permute the four forms and keep
-    each cosine bit for bit (a negated multiplier gives the exactly negated
-    phase, which the kernel folds to the same cosine), so one pair 0 <= u1 <=
-    u2 per orbit is enumerated and weighted by the orbit size: 1 for (0, 0),
-    4 for (0, u2) and (u, u), 8 otherwise.  Scaling by 4 or 8 is exact, so the
-    exact integer-chunk sum, correctly rounded, has the bits of the unfolded
-    sum; by the same symmetry the kernel takes +3 u1 u2 u3, with no negation.
+    each cosine bit for bit (the exactly negated phase mod 2^128 has the same
+    cosine under `unit_terms`), so one pair 0 <= u1 <= u2 per orbit is
+    enumerated and weighted by the orbit size: 1 for (0, 0), 4 for (0, u2)
+    and (u, u), 8 otherwise.  Scaling by 4 or 8 is exact, so the exact
+    integer-chunk sum, correctly rounded, has the bits of the unfolded sum;
+    by the same symmetry the phases are those of +3 u1 u2 u3 >= 0.
     The four constraints are asserted array-wise on every enumerated triple,
     and the weighted count against (2X^3 + X)/3.  Refuses more than
     IDENTITY_GUARD terms.
@@ -285,33 +284,4 @@ def u_identity_rhs(alpha: FixedPhase, X: int) -> float:
         # |3 u1 u2 u3| <= 1.5 X (X-1)^2 < 2^32 for X <= 531, as phase_limbs needs
         c, _ = unit_terms(phase_limbs(alpha.frac, 3 * v1 * v2 * v3))
         total = _exact_sums(w[group] * c, totals=total)
-    return total[0] / _SUM_SCALE
-
-
-def reciprocal_sum_bound(alpha: FixedPhase, X: int) -> float:
-    """Majorant sum over 1 <= u1, u2 <= 2X of min(X, 1/||6 alpha u1 u2||),
-    with || . || the distance to the nearest integer taken on the exact
-    fixed-point value of alpha.
-
-    Each phase 6 u1 u2 alpha mod 2^128 comes from the limb kernel and is
-    folded to its distance by `fold_half`.  The pairs u1 < u2 stand for
-    their mirror images with weight 2, and the terms are added exactly in
-    integer chunks, correctly rounded.  Refuses more than RECIPROCAL_GUARD terms."""
-    if X < 1:
-        raise ValueError("X must be positive")
-    terms = X * (2 * X + 1)
-    if terms > RECIPROCAL_GUARD:
-        raise ValueError(f"reciprocal_sum_bound(X={X}) sums {terms:,} terms, over the "
-                         f"{RECIPROCAL_GUARD:,} cap (X <= 10^4)")
-    xf = float(X)
-    u = np.arange(1, 2 * X + 1, dtype=np.int64)
-    total = 0
-    for group, offset in _runs(2 * X + 1 - u):  # row u1 holds u2 = u1..2X
-        u1 = u[group]
-        # 6 u1 u2 <= 24 X^2 < 2^32 for X <= 10^4, as phase_limbs needs
-        (hi, lo), _ = fold_half(phase_limbs(alpha.frac, 6 * u1 * (u1 + offset)))
-        dist = hi.astype(np.float64) * 2.0 ** -64 + lo.astype(np.float64) * 2.0 ** -128
-        with np.errstate(divide="ignore"):  # distance 0: min(X, inf) = X
-            term = np.minimum(xf, 1.0 / dist)
-        total = _exact_sums(np.where(offset == 0, term, 2.0 * term), totals=total)
     return total[0] / _SUM_SCALE

@@ -14,8 +14,7 @@ and independent of term order; blocks of BLOCK_TERMS bound the memory.
 eval_g and eval_f share one working range, eval_g counting as k = 3:
 1 <= X <= 10^8 terms, which keeps x below 2^32 as the limb multiply needs,
 and X^k < 2^80.  The scalar `unit` is the reference the kernel is tested
-against.  The same limb arithmetic serves `bounds.k_counts` and
-`counting.reciprocal_sum_bound`.
+against.  The same limb arithmetic serves `bounds.k_counts`.
 """
 
 from __future__ import annotations
@@ -138,28 +137,25 @@ def unit(frac: int) -> Tuple[float, float]:
 def phase_limbs(frac: int, m: np.ndarray, k: int = 1) -> Tuple[np.ndarray, np.ndarray]:
     """(m^k * frac) mod 2^128, exactly, as (high, low) uint64 limbs.
 
-    m is an int64 array with |m| < 2^32 and k >= 1.  Each step multiplies
-    the four 32-bit limbs by |m|^e with carries (a product plus a carry stays
-    below 2^64), e as large as keeps max |m|^e below 2^32: k = 6 at
-    |m| < 2^16 takes three steps, k = 3 at |m| <= 1625 one.  Odd powers of
-    negative m are negated mod 2^128; without a negative m that is skipped.
+    m is an int64 array with 0 <= m < 2^32, a negative m refused, and k >= 1.
+    Each step multiplies the four 32-bit limbs by m^e with carries (a product
+    plus a carry stays below 2^64), e as large as keeps max m^e below 2^32:
+    k = 6 at m < 2^16 takes three steps, k = 3 at m <= 1625 one.  m^e is
+    formed once; only a last step short of e takes its own power.
     """
-    signed = int(m.min(initial=0)) < 0
-    mag = (np.abs(m) if signed else m).astype(np.uint64)
+    if int(m.min(initial=0)) < 0:
+        raise ValueError("phase_limbs takes multipliers m >= 0")
+    mag = m.astype(np.uint64)
     top = int(mag.max(initial=0))
     e = 1
     while e < k and top ** (e + 1) < 1 << 32:
         e += 1
+    step = mag ** e
     limbs = split_limbs(frac)
     for done in range(0, k, e):
-        limbs, _carry = mul_limbs(limbs, mag ** min(e, k - done))
+        limbs, _carry = mul_limbs(limbs, step if k - done >= e else mag ** (k - done))
     l0, l1, l2, l3 = limbs
-    hi, lo = (l3 << 32) | l2, (l1 << 32) | l0
-    if signed and k % 2:
-        neg = m < 0
-        nh, nl = _negate(hi, lo)
-        hi, lo = np.where(neg, nh, hi), np.where(neg, nl, lo)
-    return hi, lo
+    return (l3 << 32) | l2, (l1 << 32) | l0
 
 
 def split_limbs(frac: int) -> List[int]:
@@ -185,21 +181,6 @@ def add_limbs(p: Tuple[np.ndarray, np.ndarray],
     """(p + q) mod 2^128 on (high, low) uint64 limbs."""
     lo = p[1] + q[1]
     return p[0] + q[0] + (lo < q[1]), lo
-
-
-def _negate(hi: np.ndarray, lo: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """(-x) mod 2^128 on (high, low) uint64 limbs."""
-    return ~hi + (lo == 0), ~lo + 1
-
-
-def fold_half(phase: Tuple[np.ndarray, np.ndarray]
-              ) -> Tuple[Tuple[np.ndarray, np.ndarray], np.ndarray]:
-    """Phases past 1/2 negated, with 128-bit borrows, and where that
-    happened: the folded phase is the distance to the nearest integer."""
-    hi, lo = phase
-    past_half = (hi > _HALF64) | ((hi == _HALF64) & (lo != 0))
-    nh, nl = _negate(hi, lo)
-    return (np.where(past_half, nh, hi), np.where(past_half, nl, lo)), past_half
 
 
 def unit_terms(phase: Tuple[np.ndarray, np.ndarray]) -> np.ndarray:

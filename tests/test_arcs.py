@@ -1,5 +1,5 @@
-"""Arc dissection: convergents, Dirichlet approximation, classification,
-the arc weight, and the measure of the major union.
+"""Arc dissection: Dirichlet approximation, classification, the measure of
+the major union and its Fourier coefficients.
 
 The exhaustive membership oracles below scan every denominator q directly
 (not just convergents), so they independently confirm the convergent-scan
@@ -16,11 +16,9 @@ import pytest
 from wmvlab.arcs import (
     _ramanujan,
     classify,
-    convergents,
     dirichlet_approx,
     major_kernel,
     major_measure,
-    psi,
 )
 from wmvlab.phase import SCALE, FixedPhase
 
@@ -38,33 +36,6 @@ def exhaustive_major(frac, Q_num, Q_den, X):
         if d * Q_den * x3 <= Q_num * SCALE:
             return q
     return None
-
-
-def test_convergents_examples():
-    half = convergents(FixedPhase.from_rational(1, 2), 10)
-    assert [(r.a, r.q) for r in half] == [(0, 1), (1, 2)]
-    qs = [r.q for r in convergents(SQRT2_MINUS_1, 70)]
-    assert qs == [1, 2, 5, 12, 29, 70]
-    third = convergents(FixedPhase.from_rational(1, 3), 100)
-    assert [(r.a, r.q) for r in third] == [(0, 1), (1, 3)]
-    assert [(r.a, r.q) for r in convergents(FixedPhase(0), 50)] == [(0, 1)]
-
-
-def test_convergents_qmax_guard():
-    with pytest.raises(ValueError):
-        convergents(FixedPhase(0), 0)
-    with pytest.raises(ValueError):
-        convergents(FixedPhase(0), 1 << 63)
-
-
-def test_convergents_denominators_increase():
-    rng = random.Random(59)
-    for _ in range(100):
-        rs = convergents(FixedPhase(rng.getrandbits(128)), 10 ** 6)
-        qs = [r.q for r in rs]
-        assert qs == sorted(qs)
-        for r in rs:
-            assert math.gcd(r.a, r.q) == 1
 
 
 def test_dirichlet_examples():
@@ -143,42 +114,6 @@ def test_classify_monotone_in_q():
         labels = [classify(a, Q, X).major for Q in (2, 4, 8, 14)]
         for small, big in zip(labels, labels[1:]):
             assert big or not small  # Major at Q implies Major at Q' >= Q
-
-
-def test_psi_examples():
-    assert psi(FixedPhase.from_rational(1, 3), 10) == pytest.approx(1 / 3, rel=1e-12)
-    assert psi(FixedPhase(0), 10) == 1.0
-    assert psi(SQRT2_MINUS_1, 4) == 0.0
-
-
-def test_psi_range_and_minor_consistency():
-    rng = random.Random(79)
-    for X in (4, 10, 27):
-        x3 = X ** 3
-        qmax = math.isqrt(x3 // 4)
-        for _ in range(200):
-            frac = rng.getrandbits(128)
-            value = psi(FixedPhase(frac), X)
-            assert 0.0 <= value <= 1.0
-            # independent oracle: scan every q <= X^1.5/2 for a hit
-            hit_q = None
-            for q in range(1, qmax + 1):
-                f = (q * frac) % SCALE
-                d = min(f, SCALE - f)
-                if 4 * d * d * x3 <= SCALE * SCALE:
-                    hit_q = q
-                    break
-            if hit_q is None:
-                assert value == 0.0
-            else:
-                f = (hit_q * frac) % SCALE
-                d = min(f, SCALE - f)
-                assert value == pytest.approx(
-                    SCALE / (hit_q * SCALE + x3 * d), rel=1e-15)
-
-
-def test_psi_weight_at_tiny_x():
-    assert psi(FixedPhase(0), 1) == 0.0  # cutoff below 1: no arcs at all
 
 
 def test_major_measure_examples():

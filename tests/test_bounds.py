@@ -14,7 +14,6 @@ from wmvlab.bounds import (
     k_bound_check,
     k_counts,
     kappa,
-    phi_quantity,
     theta_quantity,
 )
 from wmvlab.phase import FixedPhase
@@ -23,6 +22,8 @@ from wmvlab.phase import FixedPhase
 def test_theta_quantity_plug_in():
     assert theta_quantity(1, 100, 6) == pytest.approx(1 + 1e-6 + 1e-12, rel=1e-15)
     assert theta_quantity(7, 100, 6) == pytest.approx(1 / 7 + 1e-6 + 7e-12, rel=1e-15)
+    for X, k in ((10, 6), (50, 8)):
+        assert theta_quantity(1, X, k) == pytest.approx(1 + X ** -3 + float(X) ** -k, rel=1e-15)
     rng = random.Random(89)
     for _ in range(50):
         q, X = rng.randrange(1, 1000), rng.randrange(1, 500)
@@ -36,22 +37,6 @@ def test_theta_quantity_guards():
         theta_quantity(1, 0, 6)
     with pytest.raises(ValueError):
         theta_quantity(1, 10, 5)
-
-
-def test_phi_quantity():
-    for X, k in ((10, 6), (50, 8)):
-        assert phi_quantity(1, 0.0, X, k) == pytest.approx(
-            1 + X ** -3 + float(X) ** -k, rel=1e-15)
-    # delta = 0 collapses phi to theta
-    for q in (1, 3, 11):
-        assert phi_quantity(q, 0.0, 30, 6) == theta_quantity(q, 30, 6)
-    # plug-in with a nonzero delta: L = q + X^k * delta
-    q, delta, X, k = 7, 2.5e-10, 20, 6
-    L = q + float(X) ** k * delta
-    assert phi_quantity(q, delta, X, k) == pytest.approx(
-        1 / L + X ** -3 + L / float(X) ** k, rel=1e-15)
-    with pytest.raises(ValueError):
-        phi_quantity(1, -1.0, 10, 6)
 
 
 def test_exponent_curves_spec_points():

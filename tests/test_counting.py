@@ -16,12 +16,11 @@ from wmvlab.counting import (
     brute_force_moment,
     moment_count,
     ninth_moment_bracket,
-    reciprocal_sum_bound,
     u_identity_rhs,
     vinogradov_count,
     vinogradov_j,
 )
-from wmvlab.phase import SCALE, FixedPhase, fold_half, phase_limbs, unit_terms
+from wmvlab.phase import SCALE, FixedPhase, unit_terms
 from wmvlab.torusgrid import moment_estimate
 
 
@@ -395,8 +394,6 @@ def test_size_guards_on_identity_ops():
         beta_fourth_moment(FixedPhase(0), 3001)
     with pytest.raises(ValueError):
         u_identity_rhs(FixedPhase(0), 3001)
-    with pytest.raises(ValueError, match=r"200,050,003 terms, over the 200,010,000 cap"):
-        reciprocal_sum_bound(FixedPhase(0), 10 ** 4 + 1)
 
 
 def test_identity_term_guard():
@@ -495,54 +492,3 @@ def test_u_identity_sums_one_term_per_orbit(monkeypatch):
     u_identity_rhs(FixedPhase(random.Random(7).getrandbits(128)), X)
     assert sum(blocks) <= (2 * X ** 3 + X) // 24 + 2 * X ** 2
 
-
-def test_reciprocal_sum_examples():
-    assert reciprocal_sum_bound(FixedPhase(0), 5) == pytest.approx(500.0)
-    assert reciprocal_sum_bound(FixedPhase.from_rational(1, 2), 1) == pytest.approx(4.0)
-    assert reciprocal_sum_bound(FixedPhase.from_rational(1, 4), 2) == pytest.approx(32.0)
-
-
-def _reciprocal_sum_loop(alpha, X):
-    """The literal double loop over 1 <= u1, u2 <= 2X in exact 128-bit
-    integers, summed with math.fsum."""
-    terms = []
-    for u1 in range(1, 2 * X + 1):
-        for u2 in range(1, 2 * X + 1):
-            c = (6 * u1 * u2 * alpha.frac) % SCALE
-            d = min(c, SCALE - c)
-            terms.append(float(X) if d == 0 else min(float(X), SCALE / d))
-    return math.fsum(terms)
-
-
-def _reciprocal_kernel_fsum(alpha, X):
-    """math.fsum over every ordered pair of the kernel's terms
-    min(X, 1/||6 u1 u2 alpha||), the distance folded by `fold_half`."""
-    u = np.arange(1, 2 * X + 1, dtype=np.int64)
-    (hi, lo), _ = fold_half(phase_limbs(alpha.frac, 6 * np.outer(u, u).ravel()))
-    dist = hi.astype(np.float64) * 2.0 ** -64 + lo.astype(np.float64) * 2.0 ** -128
-    with np.errstate(divide="ignore"):
-        return math.fsum(np.minimum(float(X), 1.0 / dist))
-
-
-def test_reciprocal_sum_matches_the_scalar_loop():
-    rng = random.Random(61)
-    # rational alphas put some or all of the distances at exactly 0
-    rationals = [FixedPhase(0), FixedPhase.from_rational(1, 2), FixedPhase.from_rational(1, 3),
-                 FixedPhase.from_rational(5, 12), FixedPhase.from_rational(3, 7),
-                 FixedPhase.from_rational(1, 4), FixedPhase.from_rational(3, 4)]
-    for X in (1, 2, 3, 7, 20, 40):
-        for alpha in rationals + [FixedPhase(rng.getrandbits(128)) for _ in range(3)]:
-            want = _reciprocal_sum_loop(alpha, X)
-            got = reciprocal_sum_bound(alpha, X)
-            assert got == pytest.approx(want, rel=1e-12, abs=0)
-            # and bit for bit the math.fsum of the same kernel terms
-            assert got.hex() == _reciprocal_kernel_fsum(alpha, X).hex()
-
-
-def test_fourth_moment_majorized_by_reciprocal_sum():
-    # empirical constant for the minimum-distance majorant; calibrated C = 64
-    rng = random.Random(53)
-    for X in (5, 10, 20, 40):
-        for _ in range(10):
-            a = FixedPhase(rng.getrandbits(128))
-            assert beta_fourth_moment(a, X) <= 64 * reciprocal_sum_bound(a, X)

@@ -18,7 +18,6 @@ from wmvlab.phase import (
     add_limbs,
     eval_f,
     eval_g,
-    fold_half,
     phase_limbs,
     unit,
     unit_terms,
@@ -49,7 +48,10 @@ def two_pass_unit_terms(phase):
         return ~hi + (lo == 0), ~lo + 1
 
     half64, quarter64 = np.uint64(1 << 63), np.uint64(1 << 62)
-    (hi, lo), past_half = fold_half(phase)
+    hi, lo = phase
+    past_half = (hi > half64) | ((hi == half64) & (lo != 0))
+    nh, nl = negate(hi, lo)
+    hi, lo = np.where(past_half, nh, hi), np.where(past_half, nl, lo)
     past_quarter = (hi > quarter64) | ((hi == quarter64) & (lo != 0))
     nh, nl = negate(hi, lo)
     hi, lo = np.where(past_quarter, nh + half64, hi), np.where(past_quarter, nl, lo)
@@ -186,9 +188,9 @@ def test_phase_limbs_are_exact():
     rng = random.Random(67)
     for _ in range(5):
         a = rng.getrandbits(128)
-        # signed multipliers, |m| < 2^32, odd and even powers
-        m = np.array([rng.randrange(1 - (1 << 32), 1 << 32) for _ in range(500)]
-                     + [0, 1, -1, (1 << 32) - 1, 1 - (1 << 32)], dtype=np.int64)
+        # multipliers 0 <= m < 2^32, odd and even powers
+        m = np.array([rng.randrange(1 << 32) for _ in range(500)]
+                     + [0, 1, (1 << 32) - 1], dtype=np.int64)
         for k in (1, 2, 3):
             got = from_limbs(*phase_limbs(a, m, k))
             assert got == [(int(v) ** k * a) % SCALE for v in m]
@@ -205,6 +207,10 @@ def test_phase_limbs_are_exact():
         q = [rng.getrandbits(128) for _ in range(300)] + [1, 1]
         got = from_limbs(*add_limbs(to_limbs(p), to_limbs(q)))
         assert got == [(x + y) % SCALE for x, y in zip(p, q)]
+    # a negative multiplier is refused, at any power
+    for k in (1, 2):
+        with pytest.raises(ValueError, match="multipliers m >= 0"):
+            phase_limbs(rng.getrandbits(128), np.array([3, -1, 5], dtype=np.int64), k)
 
 
 def test_exact_sums_match_one_fsum():
