@@ -91,8 +91,8 @@ def _shared_key_count(X: int, h: int, square: bool) -> int:
     overflow.  `_multisets` places each last coordinate v as an offset into
     its prefix's key, reading v's square and cube terms from tail, one table
     per count.  Refuses more than MULTISET_GUARD multisets, or one slab's
-    keys past the int64 width, saying why; at h = 1 too, which then
-    returns X without enumerating (one key of weight 1 per slab).
+    keys past the int64 width, saying why.  h = 1 returns X without
+    enumerating (one key of weight 1 per slab).
     """
     if X < 1:
         raise ValueError("X must be positive")
@@ -100,14 +100,14 @@ def _shared_key_count(X: int, h: int, square: bool) -> int:
     if multisets > MULTISET_GUARD:
         raise ValueError(f"{multisets:,} sorted {h}-multisets over [1, {X}] "
                          f"exceed the 10^8 guard")
+    if h == 1:
+        # one value x = n per slab, its own key of weight 1, so sum W^2 = X
+        return X
     wbits = math.factorial(h).bit_length()
     sq_span, cube_span = h * X * X + 1, h * X ** 3 + 1
     slab_span = ((sq_span if square else 1) * cube_span) << wbits
     if slab_span > _INT64_MAX:
         raise ValueError(f"keys of {h}-multisets over [1, {X}] exceed the packed int64 width")
-    if h == 1:
-        # one value x = n per slab, its own key of weight 1, so sum W^2 = X
-        return X
     width = min(max(1, _BATCH * (h * (X - 1) + 1) // multisets), _INT64_MAX // slab_span)
     v = np.arange(X + 1, dtype=np.int64)
     tail = ((v * v * cube_span if square else 0) + v * v * v) << wbits  # value v's key terms

@@ -28,7 +28,6 @@ import numpy as np
 
 SCALE_BITS = 128
 SCALE = 1 << SCALE_BITS
-_MASK = SCALE - 1
 _QUARTER = SCALE >> 2
 _HALF = SCALE >> 1
 _THREE_QUARTER = _QUARTER * 3
@@ -50,7 +49,7 @@ RealLike = Union[int, float, str, Fraction]
 
 @dataclass(frozen=True)
 class FixedPhase:
-    """A point of [0,1) stored as frac/2^128; arithmetic wraps modulo 1."""
+    """A point of [0,1) stored as frac/2^128."""
 
     frac: int
 
@@ -82,25 +81,6 @@ class FixedPhase:
         r = Fraction(x)
         r -= math.floor(r)
         return FixedPhase((r.numerator << SCALE_BITS) // r.denominator)
-
-    def mul_int(self, n: int) -> "FixedPhase":
-        """frac(n * alpha); exact modular arithmetic, wraps for negative n."""
-        if abs(n) >= _N_CAP:
-            raise ValueError("multiplier too large (|n| >= 2^80)")
-        return FixedPhase((n * self.frac) & _MASK)
-
-    def add(self, other: "FixedPhase") -> "FixedPhase":
-        return FixedPhase((self.frac + other.frac) & _MASK)
-
-    def complement(self) -> "FixedPhase":
-        """frac(1 - alpha) = frac(-alpha)."""
-        return FixedPhase((-self.frac) & _MASK)
-
-    def as_fraction(self) -> Fraction:
-        return Fraction(self.frac, SCALE)
-
-    def to_float(self) -> float:
-        return self.frac / SCALE
 
 
 def unit(frac: int) -> Tuple[float, float]:
@@ -258,9 +238,8 @@ def _check_range(k: int, X: int) -> None:
         raise ValueError("x^k overflows the multiplier cap (X^k >= 2^80)")
 
 
-def eval_g(alpha: FixedPhase, beta: FixedPhase, X: int,
-           span: Tuple[int, int] | None = None) -> complex:
-    """Sum of e(alpha*x^3 + beta*x) for x in span (default [1, X]).
+def eval_g(alpha: FixedPhase, beta: FixedPhase, X: int) -> complex:
+    """Sum of e(alpha*x^3 + beta*x) for 1 <= x <= X.
 
     X lies in the working range that eval_f has at k = 3: at most 10^8
     terms and X^3 < 2^80.  Phases are exact mod 2^128, each term comes from
@@ -268,11 +247,8 @@ def eval_g(alpha: FixedPhase, beta: FixedPhase, X: int,
     integer-chunk sums: correctly rounded and independent of term order.
     """
     _check_range(3, X)
-    lo, hi = (1, X) if span is None else span
-    if not (1 <= lo and hi <= X):
-        raise ValueError("span must lie inside [1, X]")
     return _unit_sum(add_limbs(phase_limbs(alpha.frac, x, 3), phase_limbs(beta.frac, x))
-                     for x in _blocks(lo, hi))
+                     for x in _blocks(1, X))
 
 
 def eval_f(alpha: FixedPhase, k: int, X: int) -> complex:

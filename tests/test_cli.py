@@ -20,6 +20,11 @@ def run_cli(*argv):
     return main(list(argv))
 
 
+def _csv_rows(path):
+    with open(path, newline="") as fh:
+        return list(csv.reader(fh))
+
+
 def test_parse_alpha_accepts_hex_fraction_and_decimal():
     assert parse_alpha("0x" + "0" * 32).frac == 0
     assert parse_alpha("1/4").frac == SCALE // 4
@@ -66,7 +71,7 @@ def test_count_vinogradov_writes_csv(tmp_path, capsys):
                    "--out", str(out)) == 0
     # closed form 6X^3 - 9X^2 + 4X at X = 3
     assert "vinogradov_count(X=3, s=6) = 93" in capsys.readouterr().out
-    rows = list(csv.reader(open(out, newline="")))
+    rows = _csv_rows(out)
     assert rows[0] == CSV_HEADER
     assert rows[1][1] == "vinogradov_count"
     assert rows[1][7] == "93"
@@ -146,7 +151,7 @@ def test_bounds_compare_sampled_trials(tmp_path, capsys):
     printed = capsys.readouterr().out
     assert printed.count("bound_values") == 2
     assert "bound_calibration" in printed
-    rows = list(csv.reader(open(out, newline="")))
+    rows = _csv_rows(out)
     assert len(rows) == 4  # header + 2 samples + calibration
 
 
@@ -212,7 +217,7 @@ def test_bounds_curves_stdout_and_file(tmp_path, capsys):
     assert run_cli("bounds", "curves", "--k", "8", "--theta", "0:1:0.25",
                    "--out", str(path)) == 0
     assert "wrote 5 rows" in capsys.readouterr().out
-    saved = list(csv.reader(open(path, newline="")))
+    saved = _csv_rows(path)
     assert len(saved) == 6
 
 
@@ -265,7 +270,7 @@ def test_run_executes_plan_and_reports_status(tmp_path, capsys):
     assert run_cli("run", "--config", str(plan), "--out", str(out),
                    "--cache-dir", str(tmp_path / "cache")) == 0
     assert "2 records, exit status 0" in capsys.readouterr().out
-    rows = list(csv.reader(open(out, newline="")))
+    rows = _csv_rows(out)
     assert [r[7] for r in rows[1:]] == [str(counting.moment_count(2, 6)),
                                         str(counting.moment_count(4, 6))]
 

@@ -313,7 +313,7 @@ def test_vinogradov_j_guards():
     with pytest.raises(ValueError, match="guard"):
         vinogradov_j(80, 6)  # about 4.4e8 sorted multisets
     with pytest.raises(ValueError, match="int64"):
-        vinogradov_j(10 ** 4, 1)  # few multisets, but keys past the packed width
+        vinogradov_j(3_566, 2)  # few multisets, but keys past the packed width
     with pytest.raises(ValueError):
         vinogradov_j(5, 0)
     with pytest.raises(ValueError):
@@ -327,28 +327,24 @@ def test_one_variable_per_side_enumerates_nothing(monkeypatch):
         raise AssertionError("h = 1 enumerated multisets")
 
     monkeypatch.setattr(counting, "_multisets", refuse)
-    for X in (1, 2, 16_384, 16_385, 70_000):
+    for X in (1, 2, 16_384, 16_385, 70_000, 2 * 10 ** 6):
         assert moment_count(X, 2) == X
-    # the square-sum widens the key, so the key-width refusal stops the
-    # (sum, square, cube) counts at X = 5404, before 16,384
-    for X in (1, 2, 5_404):
+    # no key is built, so only the multiset guard bounds X
+    for X in (1, 2, 5_404, 5_405, 10 ** 4):
         assert vinogradov_count(X, 2) == X
         assert vinogradov_j(X, 1) == X
-    with pytest.raises(ValueError, match="exceed the packed int64 width"):
-        vinogradov_count(5_405, 2)
-    with pytest.raises(ValueError, match="exceed the packed int64 width"):
-        vinogradov_j(5_405, 1)
-    with pytest.raises(ValueError, match="exceed the packed int64 width"):
-        moment_count(2 * 10 ** 6, 2)
+    for count in (lambda X: moment_count(X, 2), lambda X: vinogradov_count(X, 2),
+                  lambda X: vinogradov_j(X, 1)):
+        assert count(10 ** 8) == 10 ** 8
+        with pytest.raises(ValueError, match=r"100,000,001 sorted 1-multisets .* 10\^8 guard"):
+            count(10 ** 8 + 1)
 
 
 def test_enumeration_guard():
     with pytest.raises(ValueError, match=r"166,716,670,000 sorted 3-multisets .* 10\^8 guard"):
         moment_count(10 ** 4, 6)
     with pytest.raises(ValueError, match="exceed the packed int64 width"):
-        moment_count(2 * 10 ** 6, 2)  # 2 * X^3 is past 2^63
-    with pytest.raises(ValueError, match="exceed the packed int64 width"):
-        vinogradov_count(10 ** 4, 2)  # (X^2 + 1)(X^3 + 1) << 1 is past 2^63
+        vinogradov_count(3_566, 4)  # (2X^2 + 1)(2X^3 + 1) << 2 is past 2^63
     with pytest.raises(ValueError):
         moment_count(0, 2)
 

@@ -88,7 +88,7 @@ def test_multiply_back_recovers_zero():
     for _ in range(500):
         q = rng.randrange(1, 1 << 40)
         a = rng.randrange(q)
-        f = FixedPhase.from_rational(a, q).mul_int(q).frac
+        f = (q * FixedPhase.from_rational(a, q).frac) % SCALE
         assert min(f, SCALE - f) < q
 
 
@@ -99,22 +99,6 @@ def test_from_real_parses_exactly():
     # negative reals wrap onto the torus
     assert FixedPhase.from_real(Fraction(-1, 4)).frac == 3 << 126
     assert FixedPhase.from_real("1.75").frac == 3 << 126
-
-
-def test_mul_int_cap():
-    with pytest.raises(ValueError):
-        HALF.mul_int(1 << 80)
-    with pytest.raises(ValueError):
-        HALF.mul_int(-(1 << 80))
-    assert HALF.mul_int((1 << 80) - 1) is not None
-
-
-def test_complement_and_add():
-    rng = random.Random(7)
-    for _ in range(50):
-        p = rand_phase(rng)
-        assert p.add(p.complement()) == ZERO
-    assert ZERO.complement() == ZERO
 
 
 def test_unit_quarter_points_exact():
@@ -288,10 +272,6 @@ def test_eval_guards(monkeypatch):
     with pytest.raises(ValueError, match="10\\^8 term cap"):
         eval_g(ZERO, ZERO, 10 ** 8 + 1)
     with pytest.raises(ValueError):
-        eval_g(ZERO, ZERO, 10, span=(0, 5))
-    with pytest.raises(ValueError):
-        eval_g(ZERO, ZERO, 10, span=(1, 11))
-    with pytest.raises(ValueError):
         eval_f(ZERO, 6, 1 << 14)  # X^k = 2^84 over the cap
     with pytest.raises(ValueError):
         eval_f(ZERO, 0, 5)
@@ -327,13 +307,16 @@ def test_eval_g_admits_the_range_eval_f_admits(monkeypatch):
 
 def test_eval_g_past_the_old_cube_cap_against_exact_phases():
     # 100 terms at the top of [1, X], where x^3 passes 2^63 (X = 2^21 + 1)
-    # and nears 2^80 (X = 10^8): exact integer phases through the scalar unit
+    # and nears 2^80 (X = 10^8): exact integer phases through the scalar
+    # unit, against the limb phases and kernel sum that eval_g runs
     rng = random.Random(41)
     for X in ((1 << 21) + 1, 10 ** 8):
         a, b = rand_phase(rng), rand_phase(rng)
         units = [unit((a.frac * x ** 3 + b.frac * x) % SCALE) for x in range(X - 99, X + 1)]
         want = complex(math.fsum(c for c, _ in units), math.fsum(s for _, s in units))
-        assert abs(eval_g(a, b, X, span=(X - 99, X)) - want) <= 1e-12
+        x = np.arange(X - 99, X + 1, dtype=np.int64)
+        got = phase._unit_sum([add_limbs(phase_limbs(a.frac, x, 3), phase_limbs(b.frac, x))])
+        assert abs(got - want) <= 1e-12
 
 
 def test_periodicity_bit_for_bit():
@@ -355,7 +338,7 @@ def test_conjugation_invariant():
         a, b = rand_phase(rng), rand_phase(rng)
         X = rng.randrange(1, 300)
         v = eval_g(a, b, X)
-        w = eval_g(a.complement(), b.complement(), X)
+        w = eval_g(FixedPhase(-a.frac % SCALE), FixedPhase(-b.frac % SCALE), X)
         assert abs(w.real - v.real) <= 2 * X * 2.0 ** -60
         assert abs(w.imag + v.imag) <= 2 * X * 2.0 ** -60
         assert w == v.conjugate()
@@ -369,27 +352,11 @@ def test_triangle_bound():
         assert abs(eval_g(a, b, X)) <= X + 1e-6
 
 
-def test_splitting_small_all_cuts():
-    rng = random.Random(37)
-    X = 50
-    a, b = rand_phase(rng), rand_phase(rng)
-    whole = eval_g(a, b, X)
-    for m in range(1, X):
-        left = eval_g(a, b, X, span=(1, m))
-        right = eval_g(a, b, X, span=(m + 1, X))
-        assert abs(whole - (left + right)) <= X * 2.0 ** -50
-
-
 def test_splitting_and_triangle_at_full_scale():
-    # the compensated accumulation is sized for X = 2^21
     rng = random.Random(41)
     X = 1 << 21
     a, b = rand_phase(rng), rand_phase(rng)
-    whole = eval_g(a, b, X)
-    assert abs(whole) <= X + X * 2.0 ** -40
-    m = rng.randrange(X // 3, 2 * X // 3)
-    parts = eval_g(a, b, X, span=(1, m)) + eval_g(a, b, X, span=(m + 1, X))
-    assert abs(whole - parts) <= X * 2.0 ** -50
+    assert abs(eval_g(a, b, X)) <= X + X * 2.0 ** -40
 
 
 def test_eval_g_against_quad_precision_oracle():
@@ -431,9 +398,3 @@ def test_eval_f_against_quad_precision_oracle():
                 im += mpmath.sin(t)
             assert abs(got.real - float(re)) <= X * 2.0 ** -50
             assert abs(got.imag - float(im)) <= X * 2.0 ** -50
-
-
-def test_as_fraction_to_float_roundtrip():
-    p = FixedPhase.from_rational(3, 8)
-    assert p.as_fraction() == Fraction(3, 8)
-    assert p.to_float() == 0.375
