@@ -157,7 +157,7 @@ def k_counts(alpha: FixedPhase, k: int, X: int) -> List[HCount]:
     # H <= 10^7 gives X < 2^32 and h < 2^32, as the limb multiply needs
     mag = np.uint64(X)
     indices, counts = [], []
-    for h in _blocks(1, H):
+    for h in _blocks(H):
         limbs, _ = mul_limbs(split_limbs(alpha.frac), h.astype(np.uint64))
         m = 0
         for _ in range(3):

@@ -49,9 +49,9 @@ def _common(sub: argparse.ArgumentParser) -> None:
 
 
 def _run_item(args, kind: str, **opt) -> Tuple[int, List[RunRecord]]:
-    """Run one plan item, appending its records to --out; returns
-    (failed identity checks, records)."""
-    return run_items([(kind, {k: str(v) for k, v in opt.items()})],
+    """Run one plan item from the flags given (None: the plan's default),
+    appending its records to --out; returns (failed identity checks, records)."""
+    return run_items([(kind, {k: str(v) for k, v in opt.items() if v is not None})],
                      args.cache_dir, args.out)
 
 
@@ -103,8 +103,7 @@ def _cmd_bounds(args) -> int:
             print(f"actual    = {cmp_.actual:.6g}  at a/q = {cmp_.a}/{cmp_.q}")
             return 0
         records = _run_item(args, "bounds-compare", k=args.k, x=args.X, eps=args.eps,
-                            trials=20 if args.trials is None else args.trials,
-                            seed=0 if args.seed is None else args.seed)[1]
+                            trials=args.trials, seed=args.seed)[1]
         for rec in records:
             print(f"{rec.op} {rec.params.get('alpha', '')} value={rec.value}")
         return 0
@@ -143,7 +142,7 @@ def _theta_grid(spec: str) -> List[float]:
 def _cmd_identity(args) -> int:
     failures, records = _run_item(args, "lemma22-identity", x=args.X,
                                   trials=args.trials, seed=args.seed)
-    worst = max((r.err_est or 0.0) for r in records)
+    worst = max((r.err_est or 0.0 for r in records), default=0.0)
     print(f"{len(records)} identity checks, {failures} failures, "
           f"worst relative deviation {worst:.3g}")
     return 2 if failures else 0
@@ -190,7 +189,7 @@ def build_parser() -> _Parser:
 
     p = subs.add_parser("count", help="exact moment / system counts")
     p.add_argument("--X", type=int, required=True)
-    p.add_argument("--s", type=int, default=6)
+    p.add_argument("--s", type=int)
     p.add_argument("--op", choices=["moment", "vinogradov", "brute"],
                    default="moment")
     _common(p)
@@ -198,16 +197,16 @@ def build_parser() -> _Parser:
 
     p = subs.add_parser("grid", help="torus-grid moment quadrature")
     p.add_argument("--X", type=int, required=True)
-    p.add_argument("--s", type=int, default=6)
-    p.add_argument("--tol", type=float, default=1e-6)
+    p.add_argument("--s", type=int)
+    p.add_argument("--tol", type=float)
     _common(p)
     p.set_defaults(fn=_cmd_grid)
 
     p = subs.add_parser("restricted", help="minor-arc restricted moments")
     p.add_argument("--X", type=int, required=True)
-    p.add_argument("--s", type=int, default=12)
+    p.add_argument("--s", type=int)
     p.add_argument("--Q", required=True, help="cutoff(s): '8' or '2,4,8'")
-    p.add_argument("--tol", type=float, default=1e-3)
+    p.add_argument("--tol", type=float)
     _common(p)
     p.set_defaults(fn=_cmd_restricted)
 
@@ -228,8 +227,8 @@ def build_parser() -> _Parser:
     pb.add_argument("--X", type=int, required=True)
     pb.add_argument("--eps", type=float, default=0.05)
     pb.add_argument("--alpha", help="single angle; omit to sample --trials")
-    pb.add_argument("--trials", type=int, help="sampled angles (default 20)")
-    pb.add_argument("--seed", type=int, help="sampling seed (default 0)")
+    pb.add_argument("--trials", type=int, help="sampled angles")
+    pb.add_argument("--seed", type=int, help="sampling seed")
     _common(pb)
     pb.set_defaults(fn=_cmd_bounds)
     pb2 = b_subs.add_parser("curves")
@@ -239,9 +238,9 @@ def build_parser() -> _Parser:
     pb2.set_defaults(fn=_cmd_bounds)
 
     p = subs.add_parser("identity", help="two-sided fourth-moment identity checks")
-    p.add_argument("--X", type=int, default=40)
-    p.add_argument("--trials", type=int, default=50)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--X", type=int)
+    p.add_argument("--trials", type=int)
+    p.add_argument("--seed", type=int)
     _common(p)
     p.set_defaults(fn=_cmd_identity)
 

@@ -219,10 +219,10 @@ def _unit_sum(phases: Iterable[Tuple[np.ndarray, np.ndarray]]) -> complex:
     return complex(totals[0] / _SUM_SCALE, totals[1] / _SUM_SCALE)
 
 
-def _blocks(lo: int, hi: int) -> Iterable[np.ndarray]:
-    """lo..hi as int64 arrays of at most BLOCK_TERMS values."""
-    for start in range(lo, hi + 1, BLOCK_TERMS):
-        yield np.arange(start, min(start + BLOCK_TERMS, hi + 1), dtype=np.int64)
+def _blocks(n: int) -> Iterable[np.ndarray]:
+    """1..n as int64 arrays of at most BLOCK_TERMS values."""
+    for start in range(1, n + 1, BLOCK_TERMS):
+        yield np.arange(start, min(start + BLOCK_TERMS, n + 1), dtype=np.int64)
 
 
 def _check_range(k: int, X: int) -> None:
@@ -248,7 +248,7 @@ def eval_g(alpha: FixedPhase, beta: FixedPhase, X: int) -> complex:
     """
     _check_range(3, X)
     return _unit_sum(add_limbs(phase_limbs(alpha.frac, x, 3), phase_limbs(beta.frac, x))
-                     for x in _blocks(1, X))
+                     for x in _blocks(X))
 
 
 def eval_f(alpha: FixedPhase, k: int, X: int) -> complex:
@@ -259,4 +259,4 @@ def eval_f(alpha: FixedPhase, k: int, X: int) -> complex:
     if k < 1:
         raise ValueError("k must be >= 1")
     _check_range(k, X)
-    return _unit_sum(phase_limbs(alpha.frac, x, k) for x in _blocks(1, X))
+    return _unit_sum(phase_limbs(alpha.frac, x, k) for x in _blocks(X))

@@ -226,6 +226,21 @@ def test_identity_passes_and_fails_by_tolerance(tmp_path, capsys, monkeypatch):
     out = capsys.readouterr().out
     assert "4 identity checks, 0 failures" in out
 
+    assert run_cli("identity", "--X", "5", "--trials", "0") == 0
+    assert capsys.readouterr().out == \
+        "0 identity checks, 0 failures, worst relative deviation 0\n"
+    # a negative count of trials is refused by name, from a plan or a flag
+    plan, cache = tmp_path / "plan.ini", tmp_path / "cache"
+    for kind in ("lemma22-identity", "bounds-compare"):
+        plan.write_text(f"[{kind}]\nx = 5\ntrials = -3\n")
+        assert run_cli("run", "--config", str(plan), "--cache-dir", str(cache)) == 1
+        assert f"{kind} option 'trials': -3 lies outside" in capsys.readouterr().err
+        assert not cache.exists()
+    for argv in (["identity", "--trials", "-2"],
+                 ["bounds", "compare", "--X", "5", "--trials", "-2"]):
+        assert run_cli(*argv) == 1
+        assert "option 'trials': -2 lies outside" in capsys.readouterr().err
+
     monkeypatch.setattr(runner, "IDENTITY_REL_TOL", -1.0)
     assert run_cli("identity", "--X", "5", "--trials", "2") == 2
     assert "2 failures" in capsys.readouterr().out

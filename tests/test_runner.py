@@ -213,11 +213,25 @@ def test_missing_plan_file_raises():
 
 
 def test_unknown_experiment_name_runs_nothing(tmp_path):
-    path = _plan(tmp_path, "[count-sweep]\nx = 2\n\n[mystery-sweep]\nx = 3\n")
-    out = tmp_path / "out.csv"
-    with pytest.raises(PlanError, match="mystery-sweep"):
-        run_plan(path, out=str(out))
-    assert not out.exists()  # validated before executing anything
+    out, cache = tmp_path / "out.csv", tmp_path / "cache"
+    for last, refusal in (("[mystery-sweep]\nx = 3\n", "unknown experiment name: mystery-sweep"),
+                          ("[lemma22-identity]\nx = 5\ntrails = 3\n",
+                           "lemma22-identity takes no option 'trails'"),
+                          ("[i6-sweep]\nstep = 10\n", "i6-sweep needs option 'x'")):
+        path = _plan(tmp_path, "[count-sweep]\nx = 2\n\n" + last)
+        with pytest.raises(PlanError, match=refusal):
+            run_plan(path, out=str(out), cache_dir=str(cache))
+        assert not out.exists()  # validated before executing anything
+        assert not cache.exists()
+
+
+def test_malformed_value_in_the_last_item_writes_nothing(tmp_path):
+    path = _plan(tmp_path, "[i6-sweep]\nx = 10\n\n[grid-sweep]\nx = 4\ns = abc\n")
+    out, cache = tmp_path / "out.csv", tmp_path / "cache"
+    with pytest.raises(PlanError, match="grid-sweep option 's': invalid literal"):
+        run_plan(path, out=str(out), cache_dir=str(cache))
+    assert not out.exists()
+    assert not cache.exists()
 
 
 def test_parse_int_list_forms():
@@ -226,6 +240,12 @@ def test_parse_int_list_forms():
     assert _parse_int_list("2, 4, 8") == [2, 4, 8]
     with pytest.raises(ValueError):
         _parse_int_list("ten")
+    for step in ("0", "-1"):  # a step below 1 would skip or drop values
+        with pytest.raises(ValueError, match=f"step = {step} is below 1"):
+            _parse_int_list("10..5", step)
+    assert _parse_int_list("2, 4", "1") == [2, 4]
+    with pytest.raises(ValueError, match="step = 2 needs a lo..hi range"):
+        _parse_int_list("2, 4", "2")  # a list has no step to apply
 
 
 def test_parse_int_list_sizes_a_list_before_building_it(monkeypatch):
