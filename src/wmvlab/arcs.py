@@ -115,6 +115,23 @@ def classify(alpha: FixedPhase, Q: RealLike, X: int) -> ArcLabel:
     return ArcLabel(False)
 
 
+def _disjoint_cutoff(Q: RealLike, X: int) -> Fraction:
+    """Q as a Fraction, refused unless X >= 1, Q >= 1 and 2Q^2 <= X^3."""
+    if X < 1:
+        raise ValueError("X must be positive")
+    T = Fraction(Q)
+    if T < 1:
+        raise ValueError("Q must be >= 1")
+    if 2 * T * T > X ** 3:
+        raise ValueError("need 2Q^2 <= X^3 for disjoint arcs")
+    return T
+
+
+def _measure(T: Fraction, X: int, phis) -> float:
+    """2T/X^3 times the sum over q of phi(q)/q, phis being phi(1), phi(2), ..."""
+    return float(2 * T * sum(Fraction(int(p), q) for q, p in enumerate(phis, 1)) / X ** 3)
+
+
 def major_measure(Q: RealLike, X: int) -> float:
     """Lebesgue measure of the union of major arcs at cutoff Q, scale X.
 
@@ -123,36 +140,27 @@ def major_measure(Q: RealLike, X: int) -> float:
     the Ramanujan sum c_q(0); the two half-arcs at 0/1 and 1/1 glue into the
     single q = 1 arc on the torus.
     """
-    if X < 1:
-        raise ValueError("X must be positive")
-    T = Fraction(Q)
-    if T < 1:
-        raise ValueError("Q must be >= 1")
-    if 2 * T * T > X ** 3:
-        raise ValueError("need 2Q^2 <= X^3 for disjoint arcs")
-    weight = sum(Fraction(int(_ramanujan(q)[0]), q) for q in range(1, int(T) + 1))
-    return float(2 * T * weight / X ** 3)
-
-
-def _mobius(n: int) -> int:
-    """The Moebius function mu(n), by trial division."""
-    mu, p = 1, 2
-    while p * p <= n:
-        if n % p == 0:
-            n //= p
-            if n % p == 0:
-                return 0
-            mu = -mu
-        p += 1
-    return -mu if n > 1 else mu
+    T = _disjoint_cutoff(Q, X)
+    return _measure(T, X, (_ramanujan(q)[0] for q in range(1, int(T) + 1)))
 
 
 def _ramanujan(q: int) -> np.ndarray:
-    """c_q(r) for r = 0..q-1: the sum over e | gcd(q, r) of mu(q/e) e."""
+    """c_q(r) for r = 0..q-1: the sum over e | gcd(q, r) of mu(q/e) e.  Only
+    squarefree f = q/e carry a nonzero mu(f), so the sum runs over the
+    products f of distinct primes of q, found by trial division up to
+    sqrt(q), with mu(f) = (-1)^(number of primes)."""
+    mus, n, p = {1: 1}, q, 2  # squarefree f -> mu(f)
+    while n > 1:
+        if p * p > n:
+            p = n  # what is left of n is prime
+        if n % p == 0:
+            mus.update({f * p: -mu for f, mu in mus.items()})
+            while n % p == 0:
+                n //= p
+        p += 1
     c = np.zeros(q, dtype=np.int64)
-    for e in range(1, q + 1):
-        if q % e == 0:
-            c[::e] += _mobius(q // e) * e
+    for f, mu in mus.items():
+        c[::q // f] += mu * (q // f)
     return c
 
 
@@ -164,19 +172,20 @@ def major_kernel(Q: RealLike, X: int, m) -> np.ndarray:
     in m, and K_Q(0) = major_measure(Q, X), whose guards apply.  The sine's
     argument is reduced exactly, m*Q mod q*X^3 in integers (Python ints where
     int64 would overflow).  At X = 1 the one arc covers the circle."""
-    T = Fraction(Q)
     m = np.asarray(m, dtype=np.int64)
-    if X == 1 and T >= 1:
+    if X == 1 and Fraction(Q) >= 1:
         return (m == 0).astype(float)
-    out = np.full(m.shape, major_measure(T, X))
+    T = _disjoint_cutoff(Q, X)
     nz = m != 0
     mn = m[nz]
     x3, num, den, qmax = X ** 3, T.numerator, T.denominator, int(T)
     fits = int(np.abs(mn).max(initial=0)) * num < 1 << 63 and den * qmax * x3 < 1 << 63
     ints = mn if fits else mn.astype(object)
-    acc = np.zeros(mn.shape)
+    acc, phis = np.zeros(mn.shape), []
     for q in range(1, qmax + 1):
-        D = den * q * x3
-        acc += _ramanujan(q)[mn % q] * np.sin(2 * np.pi * ((ints * num) % D).astype(float) / D)
+        D, c = den * q * x3, _ramanujan(q)
+        phis.append(c[0])
+        acc += c[mn % q] * np.sin(2 * np.pi * ((ints * num) % D).astype(float) / D)
+    out = np.full(m.shape, _measure(T, X, phis))
     out[nz] = acc / (np.pi * mn)
     return out

@@ -50,7 +50,7 @@ def _common(sub: argparse.ArgumentParser) -> None:
 
 def _run_item(args, kind: str, **opt) -> Tuple[int, List[RunRecord]]:
     """Run one plan item from the flags given (None: the plan's default),
-    appending its records to --out; returns (failed identity checks, records)."""
+    appending its records to --out; returns (failed checks, records)."""
     return run_items([(kind, {k: str(v) for k, v in opt.items() if v is not None})],
                      args.cache_dir, args.out)
 
@@ -62,20 +62,27 @@ def _cmd_count(args) -> int:
     return 0
 
 
+def _unconverged(rec: RunRecord) -> str:
+    return " converged=False" if rec.converged is False else ""
+
+
 def _cmd_grid(args) -> int:
-    for rec in _run_item(args, "grid-sweep", x=args.X, s=args.s, tol=args.tol)[1]:
+    failures, records = _run_item(args, "grid-sweep", x=args.X, s=args.s, tol=args.tol)
+    for rec in records:
         err = "" if rec.err_est is None else f" err_est={rec.err_est:.3g}"
         print(f"moment_estimate(X={rec.params['X']}, s={rec.params['s']}) = "
-              f"{rec.value}{err} exact={rec.exact}")
-    return 0
+              f"{rec.value}{err} exact={rec.exact}{_unconverged(rec)}")
+    return 2 if failures else 0
 
 
 def _cmd_restricted(args) -> int:
-    for rec in _run_item(args, "restricted-sweep", x=args.X, s=args.s, q=args.Q,
-                         tol=args.tol)[1]:
+    failures, records = _run_item(args, "restricted-sweep", x=args.X, s=args.s, q=args.Q,
+                                  tol=args.tol)
+    for rec in records:
         print(f"restricted_moment(X={rec.params['X']}, s={rec.params['s']}, "
-              f"Q={rec.params['Q']}) = {rec.value} err_est={rec.err_est:.3g}")
-    return 0
+              f"Q={rec.params['Q']}) = {rec.value} err_est={rec.err_est:.3g}"
+              f"{_unconverged(rec)}")
+    return 2 if failures else 0
 
 
 def _cmd_arcs(args) -> int:

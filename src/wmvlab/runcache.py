@@ -1,14 +1,17 @@
 """Run records, the on-disk result cache, and CSV emission.
 
-Cache layout: one JSON file per group of records computed together, named
-by the sha256 of the group's canonical (op, params) key list; each file
-embeds a checksum of its own payload and its keys are checked on lookup, so
-corruption is detected, never silently swallowed.  A manifest records the
-digest algorithm and the engine version whose results the directory holds;
-a directory from another engine version is refused, because its floats may
-differ in the last bits from what this engine computes, and so is one that
-holds records but no manifest.  The first store makes the directory and the
-manifest.  Writes go through a temp file and an atomic rename.
+Cache layout: one compact JSON file per group of records computed together,
+{"checksum":C,"payload":{"keys":K,"records":[[run_id, value, err_est,
+wall_seconds, exact, converged], ...]}}, named by the sha256 of K, the
+group's canonical (op, params) key list.  C is the sha256 of the payload's
+text as stored, and a lookup checks C and K on that text before it parses
+the records once, so corruption is detected, never silently swallowed.  A
+manifest records the digest algorithm and the engine version whose results
+the directory holds; a directory from another engine version is refused,
+because its floats may differ in the last bits from what this engine
+computes, and so is one that holds records but no manifest.  The first store
+makes the directory and the manifest.  Writes go through a temp file and an
+atomic rename.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import csv
 import hashlib
 import json
 import os
-import uuid
+import re
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -52,7 +55,9 @@ CSV_HEADER = ["run_id", "op", "X", "s", "Q", "k", "alpha",
 # 11: exact even grids are the least whose sides 6 divides, not powers of
 #    two (even grid-sweep and restricted-sweep values move in their last
 #    bits; odd ones are unchanged).
-ENGINE_VERSION = 11
+# 12: a cache file checksums its payload text, which holds the key text once
+#    and each record's converged flag (no engine value changed).
+ENGINE_VERSION = 12
 
 _MANIFEST = {"digest_algorithm": "sha256", "engine_version": ENGINE_VERSION,
              "layout": "one-group-per-file", "version": 1}
@@ -71,8 +76,8 @@ class CacheVersionMismatch(RuntimeError):
 
 @dataclass(frozen=True)
 class RunRecord:
-    """One experiment result.  value is a decimal string: exact integer
-    counts round-trip losslessly, floats use repr."""
+    """One experiment result.  value is a decimal string (exact integer counts
+    round-trip losslessly, floats use repr); converged is a ladder's, else None."""
 
     run_id: str
     op: str
@@ -81,25 +86,25 @@ class RunRecord:
     err_est: Optional[float]
     wall_seconds: float
     exact: Optional[bool] = None
+    converged: Optional[bool] = None
 
 
 def new_run_id() -> str:
-    return uuid.uuid4().hex[:12]
+    return os.urandom(6).hex()
 
 
-def _digest(obj: object) -> str:
-    canon = json.dumps(obj, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canon.encode()).hexdigest()
+def _canon(obj: object) -> bytes:
+    return json.dumps(obj, sort_keys=True, separators=(",", ":")).encode()
 
 
 def cache_key(keys: Sequence[Key]) -> str:
     """A group's file name: the digest of its (op, params) keys in order."""
-    return _digest([[op, params] for op, params in keys])
+    return hashlib.sha256(_canon(list(keys))).hexdigest()
 
 
-def _atomic_write(path: str, data: str) -> None:
+def _atomic_write(path: str, data: bytes) -> None:
     tmp = path + ".tmp"
-    with open(tmp, "w") as fh:
+    with open(tmp, "wb") as fh:
         fh.write(data)
     os.replace(tmp, path)
 
@@ -128,43 +133,44 @@ class ResultCache:
 
     def lookup(self, keys: Sequence[Key]) -> Optional[List[RunRecord]]:
         """The stored group with exactly these (op, params) keys, in key
-        order, else None.  Raises CacheCorruption on an unreadable file, a
-        checksum mismatch, or stored keys other than the requested ones."""
-        digest = cache_key(keys)
-        path = os.path.join(self.root, digest + ".json")
+        order, else None.  Raises CacheCorruption on a file out of layout,
+        a checksum mismatch, another group's keys or malformed records."""
+        key_text = _canon(list(keys))
+        path = os.path.join(self.root, hashlib.sha256(key_text).hexdigest() + ".json")
         try:
-            with open(path) as fh:
-                blob = json.load(fh)
+            with open(path, "rb") as fh:
+                found = re.fullmatch(rb'\{"checksum":"([0-9a-f]{64})","payload":(.*)\}',
+                                     fh.read(), re.S)
         except FileNotFoundError:
             return None
-        except json.JSONDecodeError as exc:
-            raise CacheCorruption(f"unreadable cache file {path}: {exc}") from exc
-        payload = blob.get("payload")
-        checksum = blob.get("checksum")
-        if payload is None or checksum is None:
+        if found is None:
             raise CacheCorruption(f"cache file {path} missing payload or checksum")
-        if _digest(payload) != checksum:
+        checksum, payload = found.groups()
+        if hashlib.sha256(payload).hexdigest().encode() != checksum:
             raise CacheCorruption(f"checksum mismatch in cache file {path}")
-        try:
-            records = [RunRecord(**rec) for rec in payload]
-        except TypeError as exc:
-            raise CacheCorruption(f"malformed record in cache file {path}: {exc}") from exc
-        if cache_key([(rec.op, rec.params) for rec in records]) != digest:
+        head = b'{"keys":' + key_text + b',"records":'
+        if not payload.startswith(head):
             raise CacheCorruption(f"cache file {path} holds another group's records")
-        return records
+        try:
+            return [RunRecord(run_id, op, params, *fields) for (op, params), (run_id, *fields)
+                    in zip(keys, json.loads(payload[len(head):-1]), strict=True)]
+        except (TypeError, ValueError) as exc:
+            raise CacheCorruption(f"malformed records in cache file {path}: {exc}") from exc
 
     def store(self, records: Sequence[RunRecord]) -> None:
         """Write one group as one file; the first store stamps the manifest."""
         if not self._stamped:
             os.makedirs(self.root, exist_ok=True)
             _atomic_write(os.path.join(self.root, "manifest.json"),
-                          json.dumps(_MANIFEST, indent=2) + "\n")
+                          (json.dumps(_MANIFEST, indent=2) + "\n").encode())
             self._stamped = True
-        # a shallow dict of each record's fields: json.dumps needs no deep copy
-        payload = [vars(rec) for rec in records]
-        blob = {"payload": payload, "checksum": _digest(payload)}
-        path = os.path.join(self.root, cache_key([(r.op, r.params) for r in records]) + ".json")
-        _atomic_write(path, json.dumps(blob, sort_keys=True))
+        key_text = _canon([(r.op, r.params) for r in records])
+        payload = b'{"keys":%b,"records":%b}' % (key_text, _canon(
+            [[r.run_id, r.value, r.err_est, r.wall_seconds, r.exact, r.converged]
+             for r in records]))
+        _atomic_write(os.path.join(self.root, hashlib.sha256(key_text).hexdigest() + ".json"),
+                      b'{"checksum":"%b","payload":%b}'
+                      % (hashlib.sha256(payload).hexdigest().encode(), payload))
 
 
 def _csv_row(record: RunRecord) -> List[str]:

@@ -17,8 +17,8 @@ The whole plan is read before any of it runs: each kind's reader takes its
 options, with their one set of defaults, and returns the item's cache groups.
 Plans are idempotent through the result cache: a warm rerun replays stored
 values, so CSV bodies repeat byte-for-byte apart from run_id and timing.
-Identity-check failures set exit status 2; execution errors raise and the
-CLI maps them to status 1.
+An identity check past its tolerance or an unconverged ladder sets exit
+status 2; execution errors raise and the CLI maps them to status 1.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from __future__ import annotations
 import configparser
 import random
 import time
-from dataclasses import replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import bounds, counting, torusgrid
@@ -37,7 +36,7 @@ IDENTITY_REL_TOL = 1e-8
 LIST_CAP = 10 ** 6  # values in a list from outside input, sized before it is built
 
 Item = Tuple[str, Dict[str, str]]  # (kind, options) of one plan section
-Result = Tuple[str, Optional[float], Optional[bool]]  # (value, err_est, exact)
+Result = Tuple[object, ...]  # (value, err_est, exact) or (value, err_est, exact, converged)
 Group = Tuple[List[Key], Callable[[], Sequence[Result]]]  # (cache keys, compute)
 Reader = Callable[[Dict[str, str]], List[Group]]  # pops the options it reads
 
@@ -97,19 +96,19 @@ def _cached(cache: Optional[ResultCache], keys: Sequence[Key],
     """Records for a group of (op, params) keys computed together.
 
     The group is the cache's unit: one lookup replays it whole, with fresh
-    run ids, or misses.  On a miss compute() runs once, returns one
-    (value, err_est, exact) per key, and its wall time is split evenly
-    over the records, which one store writes as one file.
+    run ids, or misses.  On a miss compute() runs once, returns one Result
+    per key, and its wall time is split evenly over the records, which one
+    store writes as one file.
     """
-    if cache is not None:
-        hits = cache.lookup(keys)
-        if hits is not None:
-            return [replace(hit, run_id=new_run_id()) for hit in hits]
+    hits = None if cache is None else cache.lookup(keys)
+    if hits is not None:
+        return [RunRecord(new_run_id(), h.op, h.params, h.value, h.err_est,
+                          h.wall_seconds, h.exact, h.converged) for h in hits]
     t0 = time.perf_counter()
     results = compute()
     wall = (time.perf_counter() - t0) / len(keys)
-    records = [RunRecord(new_run_id(), op, params, value, err_est, wall, exact)
-               for (op, params), (value, err_est, exact) in zip(keys, results)]
+    records = [RunRecord(new_run_id(), op, params, value, err_est, wall, *flags)
+               for (op, params), (value, err_est, *flags) in zip(keys, results)]
     if cache is not None:
         cache.store(records)
     return records
@@ -128,7 +127,7 @@ def _x_sweep(op: str, evaluate: Callable[..., Result], **defaults: float) -> Rea
 
 
 def _result(est: torusgrid.MomentEstimate) -> Result:
-    return repr(est.value), est.err_est, est.exact
+    return repr(est.value), est.err_est, est.exact, est.converged
 
 
 def _restricted_sweep(opt: Dict[str, str]) -> List[Group]:
@@ -191,14 +190,14 @@ def run_items(items: Sequence[Item], cache_dir: Optional[str] = None,
               out: Optional[str] = None) -> Tuple[int, List[RunRecord]]:
     """Read every plan item, then run its cache groups, through the result
     cache in `cache_dir` if given, and append the records to the CSV at `out`
-    in item order; returns (failed identity checks, records).
+    in item order; returns (failed checks, records).
 
     Every kind is checked before anything runs: an unknown kind, an option
     the kind does not take, a missing one or a malformed value raises
     PlanError, and nothing is computed, cached or written.  The sweeps make
     one group per X, lemma22-identity one per trial, the other kinds one per
     item.  A lemma22_check fails when its relative deviation is missing or
-    above IDENTITY_REL_TOL.
+    above IDENTITY_REL_TOL, and a ladder value when it did not converge.
     """
     groups: List[Group] = []
     for kind, options in items:
@@ -217,13 +216,13 @@ def run_items(items: Sequence[Item], cache_dir: Optional[str] = None,
     records = [rec for keys, compute in groups for rec in _cached(cache, keys, compute)]
     if out:
         append_records(out, records)
-    return sum(rec.op == "lemma22_check" and (
+    return sum(rec.converged is False or rec.op == "lemma22_check" and (
         rec.err_est is None or rec.err_est > IDENTITY_REL_TOL) for rec in records), records
 
 
 def run_plan(config_path: str, out: Optional[str] = None,
              cache_dir: Optional[str] = None) -> Tuple[int, List[RunRecord]]:
     """Run the plan in `config_path` through run_items; returns (exit_status,
-    records): 0 when every check passed, 2 when an identity check failed."""
+    records): 0 when every check passed, 2 when one failed."""
     failures, records = run_items(load_plan(config_path), cache_dir, out)
     return (2 if failures else 0), records

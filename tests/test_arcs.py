@@ -164,6 +164,16 @@ def test_ramanujan_sums_against_the_cosine_sum():
                        if math.gcd(a, q) == 1) for r in range(q)]
         assert np.allclose(_ramanujan(q), literal, rtol=0, atol=1e-9), q
 
+    # exactly the divisor sum over every e <= q, with mu by its definition
+    def mu(n):
+        primes = [p for p in range(2, n + 1) if n % p == 0 and all(p % d for d in range(2, p))]
+        return 0 if any(n % (p * p) == 0 for p in primes) else (-1) ** len(primes)
+
+    for q in list(range(1, 100)) + [128, 210, 243, 256, 289, 360, 997, 1000]:
+        want = [sum(mu(q // e) * e for e in range(1, q + 1) if q % e == 0 and r % e == 0)
+                for r in range(q)]
+        assert _ramanujan(q).tolist() == want, q
+
 
 def _arc_integral(Q, X, m):
     """The integral of e(m alpha) over the major arcs, interval by interval:

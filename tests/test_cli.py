@@ -84,6 +84,42 @@ def test_grid_reports_exactness(capsys):
     assert "exact=True" in out
 
 
+def test_an_unconverged_ladder_is_a_failed_check_cold_and_warm(tmp_path, monkeypatch, capsys):
+    # with the points guard at 2^21 the X = 8 ninth moment stops short of tol
+    monkeypatch.setattr(torusgrid, "GRID_POINTS_GUARD", 1 << 21)
+    out, cache = tmp_path / "out.csv", tmp_path / "cache"
+    argv = ["grid", "--X", "8", "--s", "9", "--tol", "1e-17",
+            "--out", str(out), "--cache-dir", str(cache)]
+    assert run_cli(*argv) == 2
+    cold = capsys.readouterr().out
+    assert cold.startswith("moment_estimate(X=8, s=9) = ")
+    assert cold.endswith(" exact=False converged=False\n")
+    listing = sorted(os.listdir(cache))
+    assert run_cli(*argv) == 2  # replayed from the cache, still failed
+    assert capsys.readouterr().out == cold
+    assert sorted(os.listdir(cache)) == listing
+    rows = _csv_rows(out)
+    assert rows[0] == CSV_HEADER and len(rows) == 3
+    assert [r[1:-1] for r in rows[1:]] == [rows[1][1:-1]] * 2
+    assert rows[1][CSV_HEADER.index("exact")] == "false"
+
+    plan = tmp_path / "plan.ini"
+    plan.write_text("[grid-sweep]\nx = 8\ns = 9\ntol = 1e-17\n")
+    for _ in range(2):
+        assert run_cli("run", "--config", str(plan), "--cache-dir", str(cache)) == 2
+        assert capsys.readouterr().out == "1 records, exit status 2\n"
+    argv = ["restricted", "--X", "8", "--s", "9", "--Q", "2,4", "--tol", "1e-17"]
+    assert run_cli(*argv) == 2
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 2 and all(line.endswith(" converged=False") for line in lines)
+
+    # converged lines carry no such note and pass
+    assert run_cli("grid", "--X", "8", "--s", "9", "--tol", "1e-6") == 0
+    assert capsys.readouterr().out.endswith(" exact=False\n")
+    assert run_cli("restricted", "--X", "8", "--s", "9", "--Q", "2") == 0
+    assert "converged" not in capsys.readouterr().out
+
+
 def test_grid_past_the_guards_is_refused_before_any_work(tmp_path, monkeypatch, capsys):
     def refuse(X, spec, j):
         raise AssertionError("grid work started")

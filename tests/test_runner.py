@@ -1,6 +1,7 @@
 """Result cache, plan parsing, and runner orchestration tests."""
 
 import csv
+import hashlib
 import json
 import os
 
@@ -127,21 +128,21 @@ def test_cache_from_another_engine_version_is_refused(tmp_path, capsys):
     assert ResultCache(str(fresh)).lookup([("moment_count", {"X": 4, "s": 6})]) is not None
 
 
-def test_a_version_10_cache_is_refused_and_never_replayed(tmp_path, capsys):
-    # engine 11 moves exact even grid values in their last bits, so what an
-    # engine 10 directory holds for the same keys must not come back
-    assert ENGINE_VERSION == 11
+def test_a_version_11_cache_is_refused_under_12(tmp_path, capsys):
+    # engine 12 checksums another payload text, so an engine 11 directory
+    # must be refused by its version, never replayed
+    assert ENGINE_VERSION == 12
     plan = _plan(tmp_path, "[grid-sweep]\nx = 4\ns = 6\n")
     cache, first, again = tmp_path / "cache", tmp_path / "first.csv", tmp_path / "again.csv"
     assert cli.main(["run", "--config", plan, "--cache-dir", str(cache), "--out", str(first)]) == 0
     manifest = cache / "manifest.json"
     stamped = json.loads(manifest.read_text())
-    stamped["engine_version"] = 10
+    stamped["engine_version"] = 11
     manifest.write_text(json.dumps(stamped))
     before = {name: (cache / name).read_bytes() for name in os.listdir(cache)}
 
     assert cli.main(["run", "--config", plan, "--cache-dir", str(cache), "--out", str(again)]) == 1
-    assert ("holds results of engine version 10, not the current 11; use a fresh --cache-dir"
+    assert ("holds results of engine version 11, not the current 12; use a fresh --cache-dir"
             in capsys.readouterr().err)
     assert not again.exists()
     assert {name: (cache / name).read_bytes() for name in os.listdir(cache)} == before
@@ -156,9 +157,10 @@ def test_tampered_value_raises_cache_corruption(tmp_path):
 
     path = tmp_path / (cache_key([key]) + ".json")
     blob = json.loads(path.read_text())
-    blob["payload"][0]["value"] = "9"
-    path.write_text(json.dumps(blob))
-    with pytest.raises(CacheCorruption):
+    assert blob["payload"]["records"][0][1] == "8"
+    blob["payload"]["records"][0][1] = "9"
+    path.write_text(json.dumps(blob, sort_keys=True, separators=(",", ":")))
+    with pytest.raises(CacheCorruption, match="checksum mismatch"):
         cache.lookup([key])
 
 
@@ -186,6 +188,103 @@ def test_store_then_lookup_roundtrips_every_field(tmp_path):
                          ("moment_count", {"X": 6, "s": 4})])
     assert back == recs
     assert back[0].exact is None
+
+
+def _group_file(tmp_path, key=("moment_count", {"X": 8, "s": 2})):
+    cache = ResultCache(str(tmp_path))
+    cache.store([RunRecord("b" * 12, *key, "8", None, 0.0, True)])
+    return cache, key, tmp_path / (cache_key([key]) + ".json")
+
+
+def test_the_file_checksums_its_payload_text_as_stored(tmp_path):
+    cache, key, path = _group_file(tmp_path)
+    text = path.read_text()
+    blob = json.loads(text)  # valid JSON, in its canonical compact form
+    assert text == json.dumps(blob, sort_keys=True, separators=(",", ":"))
+    start = text.index('"payload":') + len('"payload":')
+    assert blob["checksum"] == hashlib.sha256(text[start:-1].encode()).hexdigest()
+    assert blob["payload"] == {"keys": [list(key)],
+                               "records": [["b" * 12, "8", None, 0.0, True, None]]}
+
+    # flipping any one character of the payload text is a checksum mismatch
+    for i in range(start, len(text) - 1):
+        flipped = text[:i] + ("x" if text[i] != "x" else "y") + text[i + 1:]
+        path.write_text(flipped)
+        with pytest.raises(CacheCorruption, match="checksum mismatch"):
+            cache.lookup([key])
+    path.write_text(text)
+    assert cache.lookup([key])[0].value == "8"
+
+
+def test_checksummed_files_out_of_layout_or_with_malformed_records_raise(tmp_path):
+    cache, key, path = _group_file(tmp_path)
+    text = path.read_text()
+    for changed in (text.replace('{"checksum"', '{ "checksum"'), text + "\n",
+                    text.replace('"payload":', '"records":'), json.dumps(json.loads(text))):
+        path.write_text(changed)
+        with pytest.raises(CacheCorruption, match="missing payload or checksum"):
+            cache.lookup([key])
+
+    def rewrite(records_text):
+        payload = '{"keys":%s,"records":%s}' % (
+            json.dumps([list(key)], sort_keys=True, separators=(",", ":")), records_text)
+        digest = hashlib.sha256(payload.encode()).hexdigest()
+        path.write_text('{"checksum":"%s","payload":%s}' % (digest, payload))
+
+    for records_text in ('[["b","8",null,0.0,true,null,1]]', '[]', '[[]]', '[7]',
+                         '[["b","8",null,0.0,true,null],["c","8",null,0.0,true,null]]',
+                         '[["b","8",null'):
+        rewrite(records_text)
+        with pytest.raises(CacheCorruption, match="malformed records"):
+            cache.lookup([key])
+    rewrite('[["b","8",null,0.0,true,null]]')
+    assert cache.lookup([key]) == [RunRecord("b", *key, "8", None, 0.0, True)]
+
+
+def test_an_engine_11_directory_is_a_version_mismatch_not_corruption(tmp_path):
+    # the layout engine 11 wrote: the records as dicts, checksummed by
+    # re-serializing the parsed payload
+    root = tmp_path / "old"
+    root.mkdir()
+    key = ("moment_count", {"X": 4, "s": 6})
+    payload = [{"run_id": "a" * 12, "op": key[0], "params": key[1], "value": "2224",
+                "err_est": None, "wall_seconds": 0.0, "exact": True}]
+    canon = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    (root / (cache_key([key]) + ".json")).write_text(json.dumps(
+        {"payload": payload, "checksum": hashlib.sha256(canon.encode()).hexdigest()},
+        sort_keys=True))
+    (root / "manifest.json").write_text(json.dumps(
+        {"digest_algorithm": "sha256", "engine_version": 11,
+         "layout": "one-group-per-file", "version": 1}, indent=2) + "\n")
+    with pytest.raises(CacheVersionMismatch, match="engine version 11, not the current 12"):
+        ResultCache(str(root))
+    plan = _plan(tmp_path, "[i6-sweep]\nx = 4\n")
+    with pytest.raises(CacheVersionMismatch):
+        run_plan(plan, cache_dir=str(root))
+
+
+def test_a_warm_replay_equals_the_cold_records_but_for_fresh_run_ids(tmp_path):
+    text = ("[count-sweep]\nx = 2,3\ns = 4\n\n"
+            "[grid-sweep]\nx = 4,6\ns = 5\n\n"
+            "[restricted-sweep]\nx = 6\ns = 4\nq = 2,4\n\n"
+            "[bounds-compare]\nx = 16\ntrials = 2\nseed = 5\n\n"
+            "[lemma22-identity]\nx = 5\ntrials = 2\nseed = 1\n")
+    path, cache_dir = _plan(tmp_path, text), str(tmp_path / "cache")
+    _, cold = run_plan(path, cache_dir=cache_dir)
+    listing = {e.name: e.stat().st_mtime_ns for e in os.scandir(cache_dir)}
+    _, warm = run_plan(path, cache_dir=cache_dir)
+    _, again = run_plan(path, cache_dir=cache_dir)
+    assert {e.name: e.stat().st_mtime_ns for e in os.scandir(cache_dir)} == listing
+    assert len(cold) == len(warm) == 2 + 2 + 2 + 3 + 2
+    fields = [f for f in vars(cold[0]) if f != "run_id"]
+    for c, w in zip(cold, warm):
+        assert [getattr(c, f) for f in fields] == [getattr(w, f) for f in fields]
+    assert {r.converged for r in cold if r.op == "moment_estimate"} == {True}
+    assert {r.converged for r in cold if r.op != "moment_estimate"
+            and r.op != "restricted_moment"} == {None}
+    ids = [r.run_id for r in cold + warm + again]
+    assert len(set(ids)) == len(ids)
+    assert all(len(i) == 12 and set(i) <= set("0123456789abcdef") for i in ids)
 
 
 # plan parsing
